@@ -1,5 +1,5 @@
-//! Criterion benches of the receiver's hot phy primitives, run on all
-//! three kernel backends (`zigzag_phy::kernel`): the sliding correlation
+//! Criterion benches of the receiver's hot phy primitives, run on both
+//! kernel backends (`zigzag_phy::kernel`): the sliding correlation
 //! scan, FIR filtering, windowed-sinc resampling, MRC combining and the
 //! §4.2.2 match metric (raw and footprint-backed), plus the equalizer
 //! design and Viterbi decoding baselines. These quantify the
@@ -8,13 +8,14 @@
 //!
 //! Besides timing, this bench is a regression gate: each primitive's
 //! outputs are checked against the scalar reference (within 1e-9) on
-//! the bench inputs, the optimized correlation scan must be ≥ 3× the
-//! scalar one on buffers ≥ 4096 samples (the dominant detect cost), and
-//! the explicit-SIMD backend must beat optimized ≥ 1.5× on at least two
-//! primitive benches. Set `ZIGZAG_BENCH_RELAXED=1` to relax the perf
-//! gates (shared CI runners); the equivalence assertions always run.
-//! Results are written to `BENCH_phy.json` at the repo root so the perf
-//! trajectory is tracked across PRs.
+//! the bench inputs, the simd correlation scan must be ≥ 3× the scalar
+//! one on buffers ≥ 4096 samples (the dominant detect cost), and the
+//! simd backend must clear its per-primitive speedup floor over scalar
+//! (`SIMD_FLOORS`) on at least two primitive benches. Set
+//! `ZIGZAG_BENCH_RELAXED=1` to relax the perf gates (shared CI runners);
+//! the equivalence assertions always run. Results, with the machine
+//! facts they were measured on, are written to `BENCH_phy.json` at the
+//! repo root so the perf trajectory is tracked across changes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::prelude::*;
@@ -26,27 +27,38 @@ use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::{BackendKind, CorrFootprint, Kernel, MatchScore};
 use zigzag_phy::preamble::Preamble;
 
-const BACKENDS: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd];
+const BACKENDS: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
+
+/// Simd-over-scalar speedup floors: 1.5× the speedups the retired
+/// SoA-loop backend recorded over scalar on an AVX2 container, so the
+/// simd backend must keep beating that backend by 1.5× where it did
+/// before. Primitives absent here (MRC runs the same scalar loops on both
+/// generations) have no floor.
+const SIMD_FLOORS: [(&str, f64); 6] = [
+    ("scan_into_4096", 10.1),
+    ("scan_into_16384", 9.1),
+    ("fir_apply_4096_5tap", 1.6),
+    ("resample_4096_mu037", 24.6),
+    ("match_score_512", 39.1),
+    ("match_score_fp_512", 2.0),
+];
 
 fn noise(n: usize, seed: u64) -> Vec<Complex> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
 }
 
-/// Checks every fast backend's bench output against the scalar
-/// reference (`outputs[0]`), within 1e-9. Always runs, even when the
-/// perf gates are relaxed.
+/// Checks the simd backend's bench output (`outputs[1]`) against the
+/// scalar reference (`outputs[0]`), within 1e-9. Always runs, even when
+/// the perf gates are relaxed.
 fn assert_equivalent(outputs: &[Vec<Complex>], what: &str) {
-    let a = &outputs[0];
-    for (fast, kind) in outputs[1..].iter().zip(&BACKENDS[1..]) {
-        assert_eq!(a.len(), fast.len(), "{what}: backend output lengths differ");
-        for (k, (x, y)) in a.iter().zip(fast.iter()).enumerate() {
-            assert!(
-                (*x - *y).abs() < 1e-9,
-                "{what}[{k}]: scalar {x:?} vs {} {y:?} — backend regression",
-                kind.name()
-            );
-        }
+    let (a, fast) = (&outputs[0], &outputs[1]);
+    assert_eq!(a.len(), fast.len(), "{what}: backend output lengths differ");
+    for (k, (x, y)) in a.iter().zip(fast.iter()).enumerate() {
+        assert!(
+            (*x - *y).abs() < 1e-9,
+            "{what}[{k}]: scalar {x:?} vs simd {y:?} — backend regression"
+        );
     }
 }
 
@@ -66,34 +78,27 @@ impl Results {
     }
 
     fn write_json(&self, path: &str) {
-        let mut s = String::from("{\n  \"bench\": \"primitives\",\n  \"results\": [\n");
+        let mut s = format!(
+            "{{\n  \"bench\": \"primitives\",\n  \"machine\": {},\n  \"results\": [\n",
+            zigzag_bench::machine_json()
+        );
         for (i, (name, ns)) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
             let _ = writeln!(s, "    {{\"name\": \"{name}\", \"ns_per_iter\": {ns:.1}}}{comma}");
         }
         s.push_str("  ],\n  \"speedups\": {\n");
-        // one column per fast backend: speedup vs the scalar reference
-        let rows: Vec<(String, Vec<(String, f64)>)> = self
+        // simd speedup vs the scalar reference, per primitive
+        let rows: Vec<(&str, f64)> = self
             .entries
             .iter()
-            .filter(|(n, _)| n.ends_with("/scalar"))
-            .map(|(n, scalar_ns)| {
-                let base = n.trim_end_matches("/scalar");
-                let cols = BACKENDS[1..]
-                    .iter()
-                    .filter_map(|kind| {
-                        self.ns(&format!("{base}/{}", kind.name()))
-                            .map(|ns| (kind.name().to_string(), scalar_ns / ns))
-                    })
-                    .collect();
-                (base.to_string(), cols)
+            .filter_map(|(n, scalar_ns)| {
+                let base = n.strip_suffix("/scalar")?;
+                self.ns(&format!("{base}/simd")).map(|ns| (base, scalar_ns / ns))
             })
             .collect();
-        for (i, (base, cols)) in rows.iter().enumerate() {
+        for (i, (base, sp)) in rows.iter().enumerate() {
             let comma = if i + 1 < rows.len() { "," } else { "" };
-            let inner: Vec<String> =
-                cols.iter().map(|(name, sp)| format!("\"{name}\": {sp:.2}")).collect();
-            let _ = writeln!(s, "    \"{base}\": {{{}}}{comma}", inner.join(", "));
+            let _ = writeln!(s, "    \"{base}\": {{\"simd\": {sp:.2}}}{comma}");
         }
         s.push_str("  }\n}\n");
         if let Err(e) = std::fs::write(path, &s) {
@@ -214,7 +219,7 @@ fn bench_matching(c: &mut Criterion, r: &mut Results) {
         .collect();
     let (p, q) = (100usize, 132usize); // aligned spans (32-sample shift)
     let mut fp = CorrFootprint::default();
-    Kernel::new(BackendKind::Optimized).ensure_footprint(&mut fp, &buf_b, 0.25, &mut Vec::new);
+    Kernel::new(BackendKind::Simd).ensure_footprint(&mut fp, &buf_b, 0.25, &mut Vec::new);
     let mut raw_scores: Vec<MatchScore> = Vec::new();
     let mut fp_scores: Vec<MatchScore> = Vec::new();
     for kind in BACKENDS {
@@ -234,16 +239,13 @@ fn bench_matching(c: &mut Criterion, r: &mut Results) {
         fp_scores.push(kernel.match_score_fp(&buf_a, p, &fp, q, window, 0.25, None));
     }
     for (what, scores) in [("match_score", &raw_scores), ("match_score_fp", &fp_scores)] {
-        for (fast, kind) in scores[1..].iter().zip(&BACKENDS[1..]) {
-            assert!(
-                (scores[0].metric - fast.metric).abs() < 1e-9
-                    && (scores[0].tau - fast.tau).abs() < 0.25 + 1e-9,
-                "{what}: scalar {:?} vs {} {:?} — backend regression",
-                scores[0],
-                kind.name(),
-                fast
-            );
-        }
+        assert!(
+            (scores[0].metric - scores[1].metric).abs() < 1e-9
+                && (scores[0].tau - scores[1].tau).abs() < 0.25 + 1e-9,
+            "{what}: scalar {:?} vs simd {:?} — backend regression",
+            scores[0],
+            scores[1]
+        );
     }
     assert!(
         raw_scores[0].metric > 0.5,
@@ -290,50 +292,40 @@ fn run(c: &mut Criterion) {
     bench_equalizer(c, &mut r);
     bench_viterbi(c, &mut r);
 
+    let relaxed = std::env::var_os("ZIGZAG_BENCH_RELAXED").is_some();
+    let speedup = |base: &str| {
+        r.ns(&format!("{base}/scalar")).unwrap() / r.ns(&format!("{base}/simd")).unwrap()
+    };
     for n in [4096usize, 16384] {
-        let scalar = r.ns(&format!("scan_into_{n}/scalar")).unwrap();
-        let optimized = r.ns(&format!("scan_into_{n}/optimized")).unwrap();
-        let speedup = scalar / optimized;
-        println!("scan_into_{n}: optimized {speedup:.1}x scalar");
+        let sp = speedup(&format!("scan_into_{n}"));
+        println!("scan_into_{n}: simd {sp:.1}x scalar");
         // The acceptance gate: the dominant detect cost must be >= 3x on
         // buffers >= 4096 samples. Shared/noisy runners relax it but keep
         // the equivalence assertions above.
-        if std::env::var_os("ZIGZAG_BENCH_RELAXED").is_none() {
+        if !relaxed {
             assert!(
-                speedup >= 3.0,
-                "optimized scan_into must be >= 3x scalar on {n}-sample buffers, got {speedup:.2}x"
+                sp >= 3.0,
+                "simd scan_into must be >= 3x scalar on {n}-sample buffers, got {sp:.2}x"
             );
         }
     }
 
-    // The explicit-SIMD gate: where the autovectorized SoA backend left
-    // lane-level headroom, the simd backend must claim it — >= 1.5x over
-    // optimized on at least two primitive benches (on AVX2 hardware).
-    // Relaxable on shared runners like the scan gate; the equivalence
-    // assertions above never relax.
-    let primitive_benches = [
-        "scan_into_4096",
-        "scan_into_16384",
-        "fir_apply_4096_5tap",
-        "resample_4096_mu037",
-        "mrc_combine_4096_x2",
-        "match_score_512",
-        "match_score_fp_512",
-    ];
+    // The explicit-SIMD gate: the simd backend must clear its speedup
+    // floor over scalar on at least two primitive benches (on AVX2
+    // hardware). Relaxable on shared runners like the scan gate; the
+    // equivalence assertions above never relax.
     let mut beats = 0;
-    for base in primitive_benches {
-        let optimized = r.ns(&format!("{base}/optimized")).unwrap();
-        let simd = r.ns(&format!("{base}/simd")).unwrap();
-        let vs_opt = optimized / simd;
-        println!("{base}: simd {vs_opt:.2}x optimized");
-        if vs_opt >= 1.5 {
+    for (base, floor) in SIMD_FLOORS {
+        let sp = speedup(base);
+        println!("{base}: simd {sp:.2}x scalar (floor {floor}x)");
+        if sp >= floor {
             beats += 1;
         }
     }
-    if std::env::var_os("ZIGZAG_BENCH_RELAXED").is_none() {
+    if !relaxed {
         assert!(
             beats >= 2,
-            "simd must be >= 1.5x optimized on at least 2 primitive benches, got {beats}"
+            "simd must clear its speedup floor on at least 2 primitive benches, got {beats}"
         );
     }
     r.write_json(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phy.json"));

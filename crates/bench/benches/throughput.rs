@@ -1,15 +1,15 @@
 //! Batched decode throughput: buffers decoded/sec through the
 //! `BatchEngine`, across two axes — single- vs multi-threaded, and the
-//! scalar vs optimized vs explicit-simd phy kernel backend — on a batch
+//! scalar vs explicit-simd phy kernel backend — on a batch
 //! of 64 independent hidden-terminal work units (128 collision buffers).
 //!
 //! This is the perf anchor for the engine + kernel-backend work, and a
 //! regression gate: decode events must be **identical** at every thread
-//! count AND under all three kernel backends (always asserted — this is
+//! count AND under both kernel backends (always asserted — this is
 //! the CI smoke check for kernel-backend regressions), the
 //! multi-threaded engine must beat single-threaded by ≥ 2× on ≥ 4 real
-//! cores, the optimized and simd backends must measurably beat scalar
-//! end-to-end, and the staged k-way matcher must beat the frozen
+//! cores, the simd backend must measurably beat scalar end-to-end, and
+//! the staged k-way matcher must beat the frozen
 //! exhaustive-interp k=3 baseline ([`K3_BASELINE_MS_SINGLE`]) by ≥ 5×.
 //! The recovery workload additionally asserts the lockstep-batched
 //! `solve_groups` path decodes bit-identically to the per-system
@@ -17,8 +17,9 @@
 //! asserts) relax under `ZIGZAG_BENCH_RELAXED=1`;
 //! `ZIGZAG_BENCH_RELAXED=threads` relaxes only the machine-parallelism
 //! gates, keeping the backend and staged-matching ratio gates (the CI
-//! setting). Results land in `BENCH_throughput.json` at the repo root
-//! so the perf trajectory is tracked across PRs.
+//! setting). Results, with the machine facts they were measured on,
+//! land in `BENCH_throughput.json` at the repo root so the perf
+//! trajectory is tracked across changes.
 //!
 //! The run also drives the typical-link robustness sweep
 //! ([`zigzag_testbed::run_impairment_sweep`]): reclaim fractions of
@@ -257,7 +258,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     let mut events_by_backend = Vec::new();
     let mut n_buffers = 0;
 
-    for backend in [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd] {
+    for backend in [BackendKind::Scalar, BackendKind::Simd] {
         let units = build_units(backend);
         n_buffers = units.iter().map(|u| u.buffers.len()).sum();
         println!(
@@ -287,10 +288,6 @@ fn bench_batch_decode(c: &mut Criterion) {
     // --- determinism across kernel backends ---
     assert_eq!(
         events_by_backend[0], events_by_backend[1],
-        "scalar and optimized kernel backends must produce identical decode events"
-    );
-    assert_eq!(
-        events_by_backend[0], events_by_backend[2],
         "scalar and simd kernel backends must produce identical decode events"
     );
     let delivered: usize = events_by_backend[0]
@@ -300,11 +297,11 @@ fn bench_batch_decode(c: &mut Criterion) {
         .count();
 
     // --- k=3 workload: 3-sender/3-collision sets through the pipeline ---
-    let (k3_units, k3_expected) = build_k3_units(BackendKind::Optimized);
+    let (k3_units, k3_expected) = build_k3_units(BackendKind::Simd);
     let k3_buffers: usize = k3_units.iter().map(|u| u.buffers.len()).sum();
     println!("batch[k3]: {} work units / {k3_buffers} collision buffers", k3_units.len());
     for (engine_name, engine) in [("single_thread", &single), ("multi_thread", &multi)] {
-        let name = format!("batch_decode_k3_{engine_name}/optimized");
+        let name = format!("batch_decode_k3_{engine_name}/simd");
         c.bench_function(&name, |b| b.iter(|| decode_batch(engine, &k3_units)));
         timings.push((name, c.last_ns));
     }
@@ -341,13 +338,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     assert_eq!(
         k3_events,
         decode_batch(&single, &k3_scalar_units),
-        "[k3] scalar and optimized kernel backends must produce identical decode events"
-    );
-    let (k3_simd_units, _) = build_k3_units(BackendKind::Simd);
-    assert_eq!(
-        k3_events,
-        decode_batch(&single, &k3_simd_units),
-        "[k3] simd and optimized kernel backends must produce identical decode events"
+        "[k3] scalar and simd kernel backends must produce identical decode events"
     );
 
     // --- shard workload: one AP, four disjoint client sets, sharded ---
@@ -751,22 +742,22 @@ fn bench_batch_decode(c: &mut Criterion) {
         );
     }
     let thread_speedup =
-        ns("batch_decode_single_thread/optimized") / ns("batch_decode_multi_thread/optimized");
+        ns("batch_decode_single_thread/simd") / ns("batch_decode_multi_thread/simd");
     let backend_speedup =
-        ns("batch_decode_single_thread/scalar") / ns("batch_decode_single_thread/optimized");
-    let simd_speedup =
         ns("batch_decode_single_thread/scalar") / ns("batch_decode_single_thread/simd");
-    let combined =
-        ns("batch_decode_single_thread/scalar") / ns("batch_decode_multi_thread/optimized");
+    let combined = ns("batch_decode_single_thread/scalar") / ns("batch_decode_multi_thread/simd");
     let shard_speedup = ns("shard_single_core") / ns("shard_sharded");
-    let k3_ms = ns("batch_decode_k3_single_thread/optimized") / 1e6;
+    let k3_ms = ns("batch_decode_k3_single_thread/simd") / 1e6;
     let k3_speedup = K3_BASELINE_MS_SINGLE / k3_ms;
     println!(
-        "speedups: threads {thread_speedup:.2}x, backend {backend_speedup:.2}x, simd {simd_speedup:.2}x, combined {combined:.2}x, shard {shard_speedup:.2}x, k3-vs-exhaustive {k3_speedup:.1}x   frames delivered: {delivered} (identical across backends and thread counts)"
+        "speedups: threads {thread_speedup:.2}x, backend {backend_speedup:.2}x, combined {combined:.2}x, shard {shard_speedup:.2}x, k3-vs-exhaustive {k3_speedup:.1}x   frames delivered: {delivered} (identical across backends and thread counts)"
     );
 
     // JSON perf trajectory at the repo root.
-    let mut s = String::from("{\n  \"bench\": \"throughput\",\n");
+    let mut s = format!(
+        "{{\n  \"bench\": \"throughput\",\n  \"machine\": {},\n",
+        zigzag_bench::machine_json()
+    );
     let _ = writeln!(
         s,
         "  \"units\": {UNITS},\n  \"buffers\": {n_buffers},\n  \"threads\": {},",
@@ -788,8 +779,8 @@ fn bench_batch_decode(c: &mut Criterion) {
         s,
         "  \"k3\": {{\"units\": {}, \"buffers\": {k3_buffers}, \"frames_delivered\": {k3_delivered}, \"ms_single\": {:.2}, \"ms_multi\": {:.2}}},",
         k3_units.len(),
-        ns("batch_decode_k3_single_thread/optimized") / 1e6,
-        ns("batch_decode_k3_multi_thread/optimized") / 1e6
+        ns("batch_decode_k3_single_thread/simd") / 1e6,
+        ns("batch_decode_k3_multi_thread/simd") / 1e6
     );
     // perf trajectory of the k=3 matcher itself: the frozen pre-staged-
     // search baseline vs this run
@@ -877,7 +868,6 @@ fn bench_batch_decode(c: &mut Criterion) {
     s.push_str("  ]},\n");
     let _ = writeln!(s, "  \"speedup_threads\": {thread_speedup:.2},");
     let _ = writeln!(s, "  \"speedup_backend\": {backend_speedup:.2},");
-    let _ = writeln!(s, "  \"speedup_backend_simd\": {simd_speedup:.2},");
     let _ = writeln!(s, "  \"speedup_shard\": {shard_speedup:.2},");
     let _ = writeln!(s, "  \"speedup_combined\": {combined:.2}");
     s.push_str("}\n");
@@ -900,11 +890,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     if !relax_all {
         assert!(
             backend_speedup >= 1.2,
-            "optimized backend must measurably beat scalar end-to-end, got {backend_speedup:.2}x"
-        );
-        assert!(
-            simd_speedup >= 1.2,
-            "simd backend must measurably beat scalar end-to-end, got {simd_speedup:.2}x"
+            "simd backend must measurably beat scalar end-to-end, got {backend_speedup:.2}x"
         );
         assert!(
             k3_speedup >= 5.0,

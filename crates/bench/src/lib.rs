@@ -122,6 +122,20 @@ pub fn draw_offsets<R: Rng + ?Sized>(rng: &mut R) -> (usize, usize) {
     }
 }
 
+/// The facts a bench number is meaningless without, as a JSON object:
+/// core count, whether the CPU has AVX2, and the kernel backend the
+/// process default dispatches to (`simd` runs AVX2 intrinsics or the
+/// portable lanes depending on the `avx2` flag).
+pub fn machine_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    let backend = zigzag_phy::kernel::BackendKind::default().name();
+    format!("{{\"nproc\": {nproc}, \"avx2\": {avx2}, \"backend\": \"{backend}\"}}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

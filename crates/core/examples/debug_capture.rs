@@ -1,7 +1,7 @@
 //! Scratch diagnostic for the capture/IC path.
 //!
 //! Doubles as minimal kernel-backend usage for the capture flow: the
-//! backend is picked explicitly (`scalar`/`optimized` as first argument)
+//! backend is picked explicitly (`scalar`/`simd` as first argument)
 //! and one `Scratch` is threaded through the `_with` entry points.
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
@@ -19,7 +19,7 @@ use zigzag_phy::preamble::Preamble;
 
 fn main() {
     let backend =
-        std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default();
+        std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default();
     println!("kernel backend: {}", backend.name());
     let mut ws = Scratch::with_backend(backend);
     let mut rng = StdRng::seed_from_u64(3);

@@ -1,7 +1,7 @@
 //! Scratch diagnostic: full pair decode with error-position mapping.
 //!
 //! Doubles as minimal kernel-backend usage for the ZigZag executor: the
-//! backend is picked explicitly (`scalar`/`optimized` as first argument)
+//! backend is picked explicitly (`scalar`/`simd` as first argument)
 //! and threaded via `decode_with` and an explicit `Scratch`.
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
@@ -16,7 +16,7 @@ use zigzag_phy::preamble::Preamble;
 
 fn main() {
     let backend =
-        std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default();
+        std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default();
     println!("kernel backend: {}", backend.name());
     let seed = 21;
     let mut rng = StdRng::seed_from_u64(seed);

@@ -3,7 +3,7 @@
 //! Doubles as minimal kernel-backend usage: the phy backend is
 //! constructed explicitly (`DecoderConfig::with_backend` +
 //! `Scratch::with_backend`) and threaded through `decode_single_with`.
-//! Pass `scalar` or `optimized` as the first argument to pick one.
+//! Pass `scalar` or `simd` as the first argument to pick one.
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::clean_reception;
@@ -17,9 +17,9 @@ use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
 fn main() {
-    // backend from argv (`scalar`/`optimized`), else the process default
+    // backend from argv (`scalar`/`simd`), else the process default
     let backend =
-        std::env::args().nth(1).and_then(|a| BackendKind::from_arg(&a)).unwrap_or_default();
+        std::env::args().nth(1).and_then(|a| BackendKind::from_name(&a)).unwrap_or_default();
     let cfg = DecoderConfig::with_backend(backend);
     let mut ws = Scratch::with_backend(backend);
     println!("kernel backend: {}", backend.name());

@@ -444,7 +444,7 @@ impl ChannelView {
         for &(bs, be) in &blocks {
             // resample block (+ equalizer margin) on the symbol grid —
             // positions step by exactly one symbol, which is the cached-
-            // tap fast path of the optimized backend
+            // tap fast path of the simd backend
             let lo = bs as isize - margin as isize;
             let hi = be as isize + margin as isize;
             kernel.resample_into(

@@ -87,7 +87,7 @@ fn outcome_key(r: &zigzag::core::stream::RegionOutcome) -> (usize, usize, usize,
 fn stream_matches_precut_across_backends_and_shards() {
     let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 0), ([3, 4], [-0.08, 0.02], 300, 1)], 5000);
     let scfg = StreamConfig::default();
-    for backend in [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd] {
+    for backend in [BackendKind::Scalar, BackendKind::Simd] {
         let cfg = DecoderConfig { backend, ..DecoderConfig::shared_ap() };
         let regions = carve_buffer(&air.samples, &cfg, &air.registry, &scfg);
         assert_eq!(regions.len(), air.collisions, "one region per spliced collision ({backend:?})");

@@ -42,17 +42,8 @@ pub struct CaptureResult {
 /// decode with a handful of symbol errors cancels almost all of the
 /// packet energy (each wrong symbol leaves a single-sample glitch), which
 /// is exactly how the paper's capture path operates below the CRC
-/// threshold (decodability is judged by BER, §5.1f).
-pub fn subtract_decoded(
-    buffer: &[Complex],
-    decoded: &SingleDecode,
-    preamble: &Preamble,
-) -> Vec<Complex> {
-    let mut ws = Scratch::with_backend(decoded.view.backend());
-    subtract_decoded_with(buffer, decoded, preamble, &mut ws)
-}
-
-/// Scratch-aware variant of [`subtract_decoded`].
+/// threshold (decodability is judged by BER, §5.1f). Per-block images
+/// are drawn from `ws`.
 pub fn subtract_decoded_with(
     buffer: &[Complex],
     decoded: &SingleDecode,
@@ -170,7 +161,7 @@ pub fn capture_decode_with(
     // Subtract whenever the strong decode looks self-consistent: the PLCP
     // must have been readable (else even the length is a guess) and the
     // decisions must sit close to the soft symbols (EVM gate). A CRC pass
-    // is not required — see `subtract_decoded`.
+    // is not required — see `subtract_decoded_with`.
     let plausible = strong.plcp.is_some() && {
         let n = strong.soft.len().max(1) as f64;
         let evm: f64 = strong

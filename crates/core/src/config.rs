@@ -119,35 +119,19 @@ pub struct DecoderConfig {
 /// decoder provably cannot (e.g. Δ₁ = Δ₂ duplicate-offset collisions,
 /// §4.5), at the cost of extra memory (the salvage pool) and solver time
 /// on otherwise-dead buffers.
+///
+/// Only the knobs a preset or a sweep varies live here. The solver's
+/// fixed shape — window 32 / commit 16 symbols, ridge λ = 1e-4 of the
+/// mean observation energy, a 0.25 observation gate (`recovery.rs`), a
+/// salvage pool of 4 collisions per client-set key and groups of at most
+/// 4 collisions (`engine/stage.rs`) — is documented constants beside
+/// their readers.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryConfig {
     /// Master switch. `false` (the default) keeps the receiver
     /// bit-identical to the pre-recovery pipeline: rejected alignments
     /// and evictions are dropped exactly as before.
     pub enabled: bool,
-    /// Salvage-pool capacity **per client-set key** (evicted collisions
-    /// retained for future joint solves; same keyed-bounding discipline
-    /// as the collision store).
-    pub pool: usize,
-    /// Solver window width, in symbols per packet: how many undecided
-    /// symbols of each packet enter one joint least-squares solve.
-    pub window: usize,
-    /// Symbols committed (sliced and subtracted) per window advance; the
-    /// remainder of the window provides look-ahead context. Must be
-    /// `≤ window`.
-    pub commit: usize,
-    /// Most collision buffers jointly solved in one group (each extra
-    /// buffer adds equations — and solver rows).
-    pub max_collisions: usize,
-    /// Tikhonov regularisation of the per-window normal equations,
-    /// relative to the mean observation energy. Keeps barely-observed
-    /// look-ahead symbols from destabilising the solve.
-    pub lambda: f64,
-    /// Observation gate: a symbol is only committed when its equation
-    /// energy (the normal-matrix diagonal) reaches this fraction of the
-    /// window's strongest symbol — under-observed symbols wait for the
-    /// window to slide instead of committing garbage.
-    pub min_observation: f64,
     /// Extra turbo re-estimation passes after a CRC-failed first solve:
     /// the solver re-derives every [`ChannelView`](crate::view::ChannelView)
     /// from its own interference-cancelled buffer (the first pass's
@@ -197,12 +181,6 @@ impl Default for RecoveryConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            pool: 4,
-            window: 32,
-            commit: 16,
-            max_collisions: 4,
-            lambda: 1e-4,
-            min_observation: 0.25,
             turbo_iters: 0,
             window_pll_kp: 0.0,
             window_pll_ki: 0.0,
@@ -595,9 +573,6 @@ mod tests {
         let robust = RecoveryConfig::robust();
         assert!(robust.enabled && robust.turbo_iters > 0 && robust.window_pll_kp > 0.0);
         assert!(robust.adaptive_lambda && robust.min_conditioning > 0.0);
-        // the shared solver knobs stay at the defaults
-        assert_eq!(robust.window, on.window);
-        assert_eq!(robust.commit, on.commit);
         assert_eq!(DecoderConfig::with_robust_recovery().recovery, robust);
     }
 

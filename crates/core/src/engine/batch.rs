@@ -14,7 +14,8 @@
 //! multi-thread-equals-single-thread test in `tests/engine.rs` pins this.
 
 use crate::config::{ClientRegistry, DecoderConfig};
-use crate::receiver::{ReceiverEvent, ZigzagReceiver};
+use crate::engine::stage::{Pipeline, ReceiverCore};
+use crate::receiver::ReceiverEvent;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use zigzag_phy::complex::Complex;
@@ -129,7 +130,7 @@ pub fn unit_seed(base: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One independent receiver workload: a fresh [`ZigzagReceiver`] fed a
+/// One independent receiver workload: a fresh [`ReceiverCore`] fed a
 /// sequence of receive buffers (e.g. one client's or one AP's traffic).
 #[derive(Clone, Debug)]
 pub struct DecodeUnit {
@@ -141,16 +142,14 @@ pub struct DecodeUnit {
     pub buffers: Vec<Vec<Complex>>,
 }
 
-/// Decodes every unit through a fresh receiver, in parallel across units,
-/// returning each unit's concatenated event stream in input order.
+/// Decodes every unit through a fresh [`ReceiverCore`] on the standard
+/// pipeline, in parallel across units, returning each unit's
+/// concatenated event stream in input order.
 pub fn decode_batch(engine: &BatchEngine, units: &[DecodeUnit]) -> Vec<Vec<ReceiverEvent>> {
+    let pipeline = Pipeline::standard();
     engine.map(units, |_, unit| {
-        let mut rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
-        let mut events = Vec::new();
-        for buffer in &unit.buffers {
-            events.extend(rx.process(buffer));
-        }
-        events
+        let mut core = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
+        unit.buffers.iter().flat_map(|buffer| core.receive(&pipeline, buffer)).collect()
     })
 }
 

@@ -6,9 +6,8 @@
 //!
 //! * **[`stage`]** — the §5.1d receiver flow as a trait-based pipeline of
 //!   [`DecodeStage`]s (Detect → StandardDecode → Capture → Match → Plan →
-//!   Zigzag → Recover → Store) over a shared [`ReceiverCore`], replacing the old
-//!   monolithic `ZigzagReceiver::process` control flow with an
-//!   inspectable, reorderable [`Pipeline`] that emits the same
+//!   Zigzag → Recover → Store) over a shared [`ReceiverCore`]: an
+//!   inspectable, reorderable [`Pipeline`] emitting
 //!   [`ReceiverEvent`](crate::receiver::ReceiverEvent)s. The match/store
 //!   stages run the k-way [`crate::matchset`] layer: collisions
 //!   accumulate in a client-set-keyed [`CollisionStore`] until a
@@ -29,9 +28,10 @@
 //!   compute backend every phy hot loop dispatches to, selected once per
 //!   decode context via `DecoderConfig::backend`.
 //!
-//! * **[`shard`]** — the multi-core receiver: N `ReceiverCore` shards on
-//!   the scoped pool behind a bounded-queue ingestion front end
-//!   ([`IngestQueue`]). Buffers are routed by detected-client-set hash
+//! * **[`shard`]** — the receiver's one front door, [`ShardedReceiver`]:
+//!   N `ReceiverCore` shards on the scoped pool behind a bounded-queue
+//!   ingestion front end ([`IngestQueue`]); one shard decodes inline
+//!   with no threads. Buffers are routed by detected-client-set hash
 //!   (a detect-only pre-pass whose detections the shard pipeline
 //!   reuses), each shard owns its own `CollisionStore` + `Scratch`,
 //!   shards share only the association registry behind the read-mostly

@@ -1,5 +1,8 @@
-//! The sharded multi-core receiver: N [`ReceiverCore`]s behind a
-//! bounded-queue ingestion front end.
+//! The receiver's one front door: N [`ReceiverCore`]s behind a
+//! bounded-queue ingestion front end. [`ShardedReceiver`] is the only
+//! receiver entry point — a single AP uses one shard
+//! (`ShardConfig::with_shards(1)`), whose [`ShardedReceiver::process`]
+//! decodes inline on the caller's thread.
 //!
 //! The paper's AP decodes every hidden-terminal collision on one receive
 //! chain. A production AP serving many concurrent client sets wants one
@@ -26,6 +29,12 @@
 //!   [`Scratch`]); shards share only the association registry behind the
 //!   read-mostly [`SharedRegistry`] handle. A deterministic merge step
 //!   reorders per-shard event streams by buffer sequence number.
+//! * one shard-worker loop (`run_shards`) behind both
+//!   [`ShardedReceiver::process_batch`] and
+//!   [`ShardedReceiver::process_stream`]: the callers differ only in how
+//!   they feed it jobs (a windowed parallel detect pre-pass over borrowed
+//!   buffers, or owned regions carved from a sample stream); spawning,
+//!   routing, backpressure telemetry and the merge exist once.
 //!
 //! **Determinism.** Events are bit-identical for any shard count,
 //! including 1 (which is exactly a single `ReceiverCore`), because the
@@ -55,8 +64,10 @@ use crate::engine::scratch::Scratch;
 use crate::engine::stage::{Pipeline, ReceiverCore};
 use crate::matchset::collision_key;
 use crate::receiver::ReceiverEvent;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::preamble::Preamble;
 
@@ -191,28 +202,41 @@ pub fn route_shard(key: &[u16], shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// One routed unit of ingest: a receive buffer, its sequence number, and
-/// the routing pre-pass's detections (reused by the shard pipeline).
+/// One routed unit of ingest: its sequence number, its samples
+/// (borrowed from the caller's batch, or an owned carved stream region),
+/// the routing pre-pass's detections (reused by the shard pipeline), and
+/// when it was handed to its shard queue.
 struct Job<'a> {
     seq: usize,
-    buffer: &'a [Complex],
+    samples: Cow<'a, [Complex]>,
     detections: Vec<Detection>,
+    enqueued: Instant,
 }
 
-/// One shard's `(sequence, events)` output, awaiting the deterministic
-/// merge.
-type ShardResults = Mutex<Vec<(usize, Vec<ReceiverEvent>)>>;
+/// One decoded [`Job`]: its sequence number, how long it waited in its
+/// shard queue, and its events.
+pub(crate) struct Finished {
+    pub(crate) seq: usize,
+    pub(crate) queue_wait_ns: u64,
+    pub(crate) events: Vec<ReceiverEvent>,
+}
 
-/// Closes the given queues when dropped — the panic-safety latch that
-/// keeps a dying router or shard worker from leaving the other side
-/// blocked forever on a condvar with no waker.
-struct CloseOnDrop<'a, T>(&'a [IngestQueue<T>]);
+/// What one [`ShardedReceiver::run_shards`] call produced: every job's
+/// result in `seq` order, plus this run's per-shard queue telemetry.
+pub(crate) struct ShardRun {
+    pub(crate) finished: Vec<Finished>,
+    pub(crate) stalls: Vec<u64>,
+    pub(crate) high_water: Vec<usize>,
+}
 
-impl<T> Drop for CloseOnDrop<'_, T> {
+/// Runs its closure when dropped — the panic-safety latch that keeps a
+/// dying thread (router, shard worker, stream producer or driver) from
+/// leaving its peer blocked forever on a condvar with no waker.
+pub(crate) struct OnDrop<F: FnMut()>(pub(crate) F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
     fn drop(&mut self) {
-        for q in self.0 {
-            q.close();
-        }
+        (self.0)();
     }
 }
 
@@ -385,77 +409,105 @@ impl ShardedReceiver {
     /// then dispatches them in sequence order to the shard queues while
     /// the shard workers decode — so detection of window *w+1* overlaps
     /// zigzag execution of window *w*, and a full queue blocks the
-    /// router (backpressure) rather than dropping buffers.
+    /// router (backpressure) rather than dropping buffers. Buffers are
+    /// borrowed, never copied.
     pub fn process_batch(&mut self, buffers: &[Vec<Complex>]) -> Vec<Vec<ReceiverEvent>> {
         let n = self.cores.len();
         if n <= 1 || buffers.len() <= 1 {
             return buffers.iter().map(|b| self.process(b)).collect();
         }
-        let depth = self.shard_cfg.queue_depth.max(1);
-        let window = n * depth;
+        let window = n * self.shard_cfg.queue_depth.max(1);
         let engine = BatchEngine::new(n);
-        let Self { cfg, registry, pipeline, preamble, cores, loads, stalls, high_water, .. } = self;
-        let (cfg, registry, pipeline, preamble) = (&*cfg, &*registry, &*pipeline, &*preamble);
+        let (cfg, registry, preamble) =
+            (self.cfg.clone(), self.registry.clone(), self.preamble.clone());
+        let run = self.run_shards(|dispatch| {
+            for (w, chunk) in buffers.chunks(window).enumerate() {
+                let dets: Vec<Vec<Detection>> = engine.map_with(
+                    chunk,
+                    || Scratch::with_backend(cfg.backend),
+                    |ws, _, buf| detect_packets_with(buf, &preamble, &registry, &cfg, ws),
+                );
+                for (i, (buf, detections)) in chunk.iter().zip(dets).enumerate() {
+                    dispatch(w * window + i, Cow::Borrowed(buf.as_slice()), detections);
+                }
+            }
+        });
+        run.finished.into_iter().map(|f| f.events).collect()
+    }
 
-        let queues: Vec<IngestQueue<Job<'_>>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
-        let results: Vec<ShardResults> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+    /// The shard-worker loop behind [`Self::process_batch`] and
+    /// [`Self::process_stream`]:
+    /// spawns one worker per shard core, each draining its own bounded
+    /// [`IngestQueue`] through [`ReceiverCore::receive_detected`], then
+    /// runs `feed` on the calling thread. `feed` hands every job to the
+    /// `dispatch` callback as `(seq, samples, detections)`; dispatch
+    /// routes it by its detected client set ([`route_shard`]) and blocks
+    /// while that shard's queue is full. Once `feed` returns and the
+    /// workers drain, the run's stall and high-water telemetry is folded
+    /// into the receiver's cumulative counters and the results come back
+    /// merged by `seq`.
+    ///
+    /// Panic safety: however `feed` or a worker exits, the queues close,
+    /// so no thread is left blocked on a condvar nobody will signal, and
+    /// the panic propagates out of the scope.
+    pub(crate) fn run_shards<'a, F>(&mut self, feed: F) -> ShardRun
+    where
+        F: FnOnce(&mut dyn FnMut(usize, Cow<'a, [Complex]>, Vec<Detection>)),
+    {
+        let n = self.cores.len();
+        let depth = self.shard_cfg.queue_depth.max(1);
+        let key_window = self.cfg.key_window;
+        let Self { pipeline, cores, loads, stalls, high_water, .. } = self;
+        let pipeline = &*pipeline;
+        let queues: Vec<IngestQueue<Job<'a>>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
+        let results: Vec<Mutex<Vec<Finished>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
 
         std::thread::scope(|s| {
             for ((core, queue), slot) in cores.iter_mut().zip(&queues).zip(&results) {
                 s.spawn(move || {
-                    // Panic safety: if decode panics, the closing guard
-                    // wakes the router out of its blocking push (which
-                    // then fails loudly) instead of leaving it asleep on
-                    // a condvar nobody will ever signal.
-                    let _closer = CloseOnDrop(std::slice::from_ref(queue));
+                    // a dying worker closes its queue, which fails the
+                    // router's next push loudly instead of leaving it
+                    // asleep on a full queue
+                    let _closer = OnDrop(|| queue.close());
                     let mut local = Vec::new();
                     while let Some(job) = queue.pop() {
-                        let ev = core.receive_detected(pipeline, job.buffer, job.detections);
-                        local.push((job.seq, ev));
+                        let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
+                        let events = core.receive_detected(pipeline, &job.samples, job.detections);
+                        local.push(Finished { seq: job.seq, queue_wait_ns, events });
                     }
                     *slot.lock().expect("shard result slot poisoned") = local;
                 });
             }
 
-            // Router: windowed parallel detect, in-order dispatch. The
-            // guard closes every queue however the router exits (end of
-            // batch, or a panic in detection/routing), so shard workers
-            // always drain and join.
-            let closer = CloseOnDrop(&queues);
-            let mut seq = 0usize;
-            for chunk in buffers.chunks(window) {
-                let dets: Vec<Vec<Detection>> = engine.map_with(
-                    chunk,
-                    || Scratch::with_backend(cfg.backend),
-                    |ws, _, buf| detect_packets_with(buf, preamble, registry, cfg, ws),
-                );
-                for (i, detections) in dets.into_iter().enumerate() {
-                    let shard = route_shard(&collision_key(&detections, cfg.key_window), n);
-                    loads[shard] += 1;
-                    let job = Job { seq: seq + i, buffer: &chunk[i], detections };
-                    if queues[shard].push(job).is_err() {
-                        // only a dead (panicked) worker closes its queue
-                        // early; surface that instead of dropping input
-                        panic!("shard {shard} worker terminated before its ingest completed");
-                    }
+            // the guard closes every queue however `feed` exits (done,
+            // or a panic in detection/routing), so workers always drain
+            // and join
+            let closer = OnDrop(|| queues.iter().for_each(IngestQueue::close));
+            feed(&mut |seq, samples, detections| {
+                let shard = route_shard(&collision_key(&detections, key_window), n);
+                loads[shard] += 1;
+                let job = Job { seq, samples, detections, enqueued: Instant::now() };
+                if queues[shard].push(job).is_err() {
+                    // only a dead (panicked) worker closes its queue
+                    // early; surface that instead of dropping input
+                    panic!("shard {shard} worker terminated before its ingest completed");
                 }
-                seq += chunk.len();
-            }
+            });
             drop(closer);
         });
 
-        for (i, q) in queues.iter().enumerate() {
-            stalls[i] += q.stalls();
-            high_water[i] = high_water[i].max(q.high_water());
+        let run_stalls: Vec<u64> = queues.iter().map(IngestQueue::stalls).collect();
+        let run_high_water: Vec<usize> = queues.iter().map(IngestQueue::high_water).collect();
+        for i in 0..n {
+            stalls[i] += run_stalls[i];
+            high_water[i] = high_water[i].max(run_high_water[i]);
         }
-
-        let mut out = vec![Vec::new(); buffers.len()];
-        for slot in results {
-            for (seq, ev) in slot.into_inner().expect("shard result slot poisoned") {
-                out[seq] = ev;
-            }
-        }
-        out
+        let mut finished: Vec<Finished> = results
+            .into_iter()
+            .flat_map(|slot| slot.into_inner().expect("shard result slot poisoned"))
+            .collect();
+        finished.sort_by_key(|f| f.seq);
+        ShardRun { finished, stalls: run_stalls, high_water: run_high_water }
     }
 }
 

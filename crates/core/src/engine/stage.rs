@@ -1,16 +1,15 @@
 //! The trait-based decode pipeline.
 //!
 //! The §5.1d receiver flow — detect → standard decode → capture/IC →
-//! match → plan → zigzag → store — used to be one hard-wired call chain
-//! inside `ZigzagReceiver::process`. Here each step is a [`DecodeStage`]:
-//! an inspectable, reorderable unit that reads/writes the per-buffer
-//! [`UnitCtx`], mutates the shared [`ReceiverCore`] state, and appends
-//! [`ReceiverEvent`]s. A [`Pipeline`] runs stages in order until one
-//! reports [`Flow::Done`].
+//! match → plan → zigzag → recover → store. Each step is a
+//! [`DecodeStage`]: an inspectable, reorderable unit that reads/writes
+//! the per-buffer [`UnitCtx`], mutates the shared [`ReceiverCore`] state,
+//! and appends [`ReceiverEvent`]s. A [`Pipeline`] runs stages in order
+//! until one reports [`Flow::Done`].
 //!
-//! The default stage order ([`Pipeline::standard`]) reproduces the legacy
-//! receiver's behaviour event-for-event (verified by the pipeline-vs-
-//! legacy equivalence test in `tests/engine.rs`); custom pipelines can
+//! The default stage order ([`Pipeline::standard`]) is pinned by golden
+//! event hashes in `tests/engine.rs`, recorded while it still matched the
+//! original monolithic receiver event-for-event; custom pipelines can
 //! drop, reorder, or wrap stages — e.g. skipping capture for
 //! equal-power-only deployments, or inserting instrumentation stages.
 
@@ -29,6 +28,15 @@ use crate::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use std::collections::HashSet;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::preamble::Preamble;
+
+/// Salvage-pool capacity **per client-set key** when recovery is on
+/// (evicted collisions retained for future joint solves; same
+/// keyed-bounding discipline as the collision store).
+const SALVAGE_POOL_PER_KEY: usize = 4;
+
+/// Most collision buffers jointly solved in one recovery group (each
+/// extra buffer adds equations — and solver rows).
+const MAX_GROUP_COLLISIONS: usize = 4;
 
 /// The receiver's long-lived state, shared by every stage: configuration,
 /// a read-mostly handle to the association registry (shard-shareable, see
@@ -75,9 +83,9 @@ impl ReceiverCore {
         let scratch = Scratch::with_backend(cfg.backend);
         let mut store = CollisionStore::with_key_window(cfg.collision_store, cfg.key_window);
         // With recovery on, store evictions are retained and absorbed
-        // into the salvage pool (see `store_unmatched`) instead of
+        // into the salvage pool (see `StoreStage`) instead of
         // dropped — the eviction path becomes signal.
-        let pool_cap = if cfg.recovery.enabled { cfg.recovery.pool } else { 0 };
+        let pool_cap = if cfg.recovery.enabled { SALVAGE_POOL_PER_KEY } else { 0 };
         store.set_evicted_capacity(pool_cap);
         Self {
             cfg,
@@ -98,11 +106,12 @@ impl ReceiverCore {
     }
 
     /// Runs one receive buffer through `pipeline` against this state —
-    /// the full-stack entry point the front end
-    /// ([`ZigzagReceiver::process`](crate::receiver::ZigzagReceiver::process))
-    /// and batch drivers use.
+    /// the single-core reference the determinism tests compare the
+    /// [`ShardedReceiver`](crate::engine::ShardedReceiver) against, and
+    /// what [`decode_batch`](crate::engine::decode_batch) and the
+    /// [`CollisionService`](crate::service::CollisionService) drive.
     pub fn receive(&mut self, pipeline: &Pipeline, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        pipeline.run(self, buffer)
+        pipeline.run_unit(self, &mut UnitCtx::new(buffer))
     }
 
     /// [`Self::receive`] with the detections already computed (the
@@ -155,23 +164,6 @@ impl ReceiverCore {
         if self.delivered.len() > 4096 {
             self.delivered.clear(); // bounded memory; seq spaces recycle
         }
-    }
-
-    /// §4.2.2 fallback, shared by [`StoreStage`] and the legacy flow:
-    /// store the unmatched collision (keyed by its client set, bounded,
-    /// oldest-first eviction) for a future match.
-    pub(crate) fn store_unmatched(
-        &mut self,
-        buffer: &[Complex],
-        detections: &[Detection],
-        out: &mut Vec<ReceiverEvent>,
-    ) {
-        self.store.insert(buffer.to_vec(), detections.to_vec());
-        // eviction → salvage: a no-op unless recovery retention is on
-        for evicted in self.store.take_evicted() {
-            self.salvage.absorb(evicted);
-        }
-        out.push(ReceiverEvent::CollisionStored);
     }
 }
 
@@ -234,14 +226,7 @@ pub struct UnitCtx<'a> {
 impl<'a> UnitCtx<'a> {
     /// A fresh context over a receive buffer.
     pub fn new(buffer: &'a [Complex]) -> Self {
-        Self {
-            buffer,
-            detections: Vec::new(),
-            detections_ready: false,
-            matched: None,
-            rejected: None,
-            plan: None,
-        }
+        Self { detections_ready: false, ..Self::with_detections(buffer, Vec::new()) }
     }
 
     /// A context whose detections were already computed (e.g. by the
@@ -310,25 +295,9 @@ impl Pipeline {
         Self { stages }
     }
 
-    /// Appends a stage.
-    pub fn push(&mut self, stage: Box<dyn DecodeStage>) {
-        self.stages.push(stage);
-    }
-
-    /// Inserts a stage at `index`.
-    pub fn insert(&mut self, index: usize, stage: Box<dyn DecodeStage>) {
-        self.stages.insert(index, stage);
-    }
-
     /// The stage names, in execution order.
     pub fn stage_names(&self) -> Vec<&'static str> {
         self.stages.iter().map(|s| s.name()).collect()
-    }
-
-    /// Runs one receive buffer through the pipeline.
-    pub fn run(&self, rx: &mut ReceiverCore, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        let mut unit = UnitCtx::new(buffer);
-        self.run_unit(rx, &mut unit)
     }
 
     /// Runs a (possibly pre-seeded) unit context through the pipeline.
@@ -340,48 +309,6 @@ impl Pipeline {
             }
         }
         events
-    }
-}
-
-/// Executes the ZigZag decode of a matched collision set, shared by the
-/// [`ZigzagStage`] and the legacy monolithic flow: assembles the
-/// [`CollisionSpec`]s (current buffer first, then the matched store
-/// members), runs the §4.2.3/§4.5 executor, **consumes** the matched
-/// store entries (decode attempted — regardless of whether any frame
-/// CRC'd), and delivers recovered frames.
-pub(crate) fn zigzag_decode_match(
-    rx: &mut ReceiverCore,
-    buffer: &[Complex],
-    plan: &DecodePlan,
-    members: &[u64],
-    events: &mut Vec<ReceiverEvent>,
-) {
-    let result = {
-        let ReceiverCore { cfg, registry, preamble, scratch, store, .. } = &mut *rx;
-        let mut specs = Vec::with_capacity(plan.placements.len());
-        specs.push(CollisionSpec { buffer, placements: plan.placements[0].clone() });
-        for (j, &id) in members.iter().enumerate() {
-            let entry = store.get(id).expect("matched store entry re-validated by caller");
-            specs.push(CollisionSpec {
-                buffer: &entry.buffer,
-                placements: plan.placements[j + 1].clone(),
-            });
-        }
-        let dec = ZigzagDecoder::with_preamble(cfg.clone(), registry, preamble.clone());
-        dec.decode_with(&specs, &plan.packets, scratch)
-    };
-    for &id in members {
-        rx.store.remove(id);
-    }
-    let mut any = false;
-    for p in result.packets {
-        if let Some(f) = p.frame {
-            rx.deliver(f, DecodePath::Zigzag, events);
-            any = true;
-        }
-    }
-    if !any {
-        events.push(ReceiverEvent::DecodeFailed);
     }
 }
 
@@ -752,7 +679,11 @@ impl DecodeStage for PlanStage {
     }
 }
 
-/// §4.2.3: chunk-by-chunk decode of the matched collision set.
+/// §4.2.3: chunk-by-chunk decode of the matched collision set. Assembles
+/// the [`CollisionSpec`]s (current buffer first, then the matched store
+/// members), runs the §4.2.3/§4.5 executor, **consumes** the matched
+/// store entries (decode attempted — regardless of whether any frame
+/// CRC'd), and delivers recovered frames.
 pub struct ZigzagStage;
 
 impl DecodeStage for ZigzagStage {
@@ -780,9 +711,38 @@ impl DecodeStage for ZigzagStage {
                 }
             }
         }
-        let m = unit.matched.take().unwrap();
+        let members = unit.matched.take().unwrap().set.members;
         let plan = unit.plan.as_ref().unwrap();
-        zigzag_decode_match(rx, unit.buffer, plan, &m.set.members, events);
+        let result = {
+            let ReceiverCore { cfg, registry, preamble, scratch, store, .. } = &mut *rx;
+            let mut specs = Vec::with_capacity(plan.placements.len());
+            specs.push(CollisionSpec {
+                buffer: unit.buffer,
+                placements: plan.placements[0].clone(),
+            });
+            for (j, &id) in members.iter().enumerate() {
+                let entry = store.get(id).expect("matched store entry re-validated above");
+                specs.push(CollisionSpec {
+                    buffer: &entry.buffer,
+                    placements: plan.placements[j + 1].clone(),
+                });
+            }
+            let dec = ZigzagDecoder::with_preamble(cfg.clone(), registry, preamble.clone());
+            dec.decode_with(&specs, &plan.packets, scratch)
+        };
+        for &id in &members {
+            rx.store.remove(id);
+        }
+        let mut any = false;
+        for p in result.packets {
+            if let Some(f) = p.frame {
+                rx.deliver(f, DecodePath::Zigzag, events);
+                any = true;
+            }
+        }
+        if !any {
+            events.push(ReceiverEvent::DecodeFailed);
+        }
         Flow::Done
     }
 }
@@ -858,7 +818,7 @@ impl DecodeStage for RecoverStage {
         // pool — the store already lost them, but their equations still
         // combine with the current buffer's into a solvable system.
         let key = collision_key(&unit.detections, rx.store.key_window());
-        let max_members = rx.cfg.recovery.max_collisions.saturating_sub(1);
+        let max_members = MAX_GROUP_COLLISIONS - 1;
         if let Some((group, used)) = group_from_pool(
             &mut rx.scratch,
             unit.buffer,
@@ -877,7 +837,8 @@ impl DecodeStage for RecoverStage {
     }
 }
 
-/// §4.2.2 fallback: store the unmatched collision for a future match.
+/// §4.2.2 fallback: store the unmatched collision (keyed by its client
+/// set, bounded, oldest-first eviction) for a future match.
 pub struct StoreStage;
 
 impl DecodeStage for StoreStage {
@@ -891,7 +852,12 @@ impl DecodeStage for StoreStage {
         unit: &mut UnitCtx<'_>,
         events: &mut Vec<ReceiverEvent>,
     ) -> Flow {
-        rx.store_unmatched(unit.buffer, &unit.detections, events);
+        rx.store.insert(unit.buffer.to_vec(), unit.detections.clone());
+        // eviction → salvage: a no-op unless recovery retention is on
+        for evicted in rx.store.take_evicted() {
+            rx.salvage.absorb(evicted);
+        }
+        events.push(ReceiverEvent::CollisionStored);
         Flow::Done
     }
 }

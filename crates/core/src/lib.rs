@@ -26,13 +26,19 @@
 //!    elimination over collision groups the chunk scheduler cannot peel
 //!    (§4.5's Δ₁ = Δ₂ failure case among them), fed by rejected match
 //!    sets and the salvage pool of store evictions.
-//! 8. [`receiver`] — the AP front-end tying it all together, with the
-//!    unmatched-collision store.
+//! 8. [`receiver`] — the events a receive buffer produces
+//!    ([`ReceiverEvent`]) and the path each delivered frame took
+//!    ([`receiver::DecodePath`]).
 //!
 //! The steps above execute as a trait-based stage pipeline inside
-//! [`engine`], which also provides the [`BatchEngine`] (deterministic
-//! multi-threaded fan-out over independent work units) and the
-//! [`Scratch`] arena the hot loops draw their buffers from.
+//! [`engine`], run against a per-shard [`engine::ReceiverCore`] that
+//! holds the unmatched-collision store. The receiver's one front door is
+//! [`ShardedReceiver`]: `ShardConfig::with_shards(1)` is a single
+//! receiver decoding inline, more shards spread client sets over cores
+//! with bit-identical events. [`engine`] also provides the
+//! [`BatchEngine`] (deterministic multi-threaded fan-out over
+//! independent work units) and the [`Scratch`] arena the hot loops draw
+//! their buffers from.
 //!
 //! Supporting modules: [`view`] (per-packet-per-collision channel model —
 //!  estimation, chunk decode, image synthesis, tracking), [`config`]
@@ -70,7 +76,7 @@ pub use engine::{
     ShardedReceiver,
 };
 pub use matchset::{CollisionStore, MatchOutcome, MatchSet, RejectedSet, StoredCollision};
-pub use receiver::{ReceiverEvent, ZigzagReceiver};
+pub use receiver::ReceiverEvent;
 pub use recovery::{RecoveredPacket, RecoveryGroup, SalvagePool};
 pub use service::{CollisionService, EpisodeRound};
 pub use stream::{

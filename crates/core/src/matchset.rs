@@ -22,8 +22,8 @@
 //!   stored collisions over the same k clients: which detection of which
 //!   collision belongs to which packet. [`DecodePlan`](crate::engine::stage::DecodePlan)
 //!   and the ZigZag executor consume it directly.
-//! * [`find_match_set`] — the single matching entry point shared by the
-//!   pipeline's `MatchStage` and the legacy receiver flow. Two senders
+//! * [`find_match_set`] — the single matching entry point behind the
+//!   pipeline's `MatchStage`. Two senders
 //!   take the paper-exact pairwise path ([`pair_collisions`] + sample
 //!   confirmation on the second packet); three or more take the k-way
 //!   path: same-client-set candidates are aligned by *validated

@@ -13,19 +13,13 @@
 //! lower power (i.e., a capture scenario)."
 //!
 //! The flow itself lives in [`crate::engine::stage`] as a reorderable
-//! stage pipeline; this module is the stateful front end tying the
-//! pipeline to the association registry and the collision store. The
-//! pre-pipeline monolithic control flow is retained as
-//! [`ZigzagReceiver::process_legacy`] so the equivalence can be tested
-//! differentially.
+//! stage pipeline run against a
+//! [`ReceiverCore`](crate::engine::ReceiverCore). The one front end is
+//! [`ShardedReceiver`](crate::engine::ShardedReceiver); one shard is
+//! exactly one `ReceiverCore`, run inline. This module holds the
+//! vocabulary both speak: the [`ReceiverEvent`]s a buffer produces and
+//! the [`DecodePath`] a delivered frame took.
 
-use crate::capture::mrc_combine_retry;
-use crate::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use crate::detect::detect_packets;
-use crate::engine::stage::{zigzag_decode_match, DecodePlan, Pipeline, ReceiverCore};
-use crate::matchset::find_match_set;
-use crate::standard::decode_single;
-use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::Frame;
 
 /// How a delivered frame was recovered.
@@ -66,236 +60,11 @@ pub enum ReceiverEvent {
     DecodeFailed,
 }
 
-/// The ZigZag AP receiver: pipeline + long-lived state.
-pub struct ZigzagReceiver {
-    core: ReceiverCore,
-    pipeline: Pipeline,
-}
-
-impl ZigzagReceiver {
-    /// Creates a receiver with the given configuration and association
-    /// registry, running the standard §5.1d pipeline.
-    pub fn new(cfg: DecoderConfig, registry: ClientRegistry) -> Self {
-        Self::with_pipeline(cfg, registry, Pipeline::standard())
-    }
-
-    /// Creates a receiver over a custom stage pipeline.
-    pub fn with_pipeline(cfg: DecoderConfig, registry: ClientRegistry, pipeline: Pipeline) -> Self {
-        Self { core: ReceiverCore::new(cfg, registry), pipeline }
-    }
-
-    /// Associates a client (what the 802.11 association handshake would
-    /// establish, §4.2.1).
-    pub fn associate(&mut self, id: u16, info: ClientInfo) {
-        self.core.registry.associate(id, info);
-    }
-
-    /// Read access to the association registry.
-    pub fn registry(&self) -> &ClientRegistry {
-        &self.core.registry
-    }
-
-    /// Read access to the decoder configuration.
-    pub fn config(&self) -> &DecoderConfig {
-        &self.core.cfg
-    }
-
-    /// The stage pipeline this receiver runs.
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    /// Number of unmatched collisions currently stored (§4.2.2).
-    pub fn stored_collisions(&self) -> usize {
-        self.core.store.len()
-    }
-
-    /// Forgets delivery history (between experiment runs).
-    pub fn reset_history(&mut self) {
-        self.core.reset_history();
-    }
-
-    /// Processes one receive buffer through the stage pipeline and
-    /// returns what happened.
-    pub fn process(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        self.core.receive(&self.pipeline, buffer)
-    }
-
-    /// Decodes one continuous stretch of air through the streaming front
-    /// end ([`crate::stream`]): carves collision regions out of `air`
-    /// with the windowed scanner and decodes each region on this
-    /// receiver, returning per-region outcomes in stream order. The
-    /// single-core, no-threads counterpart of
-    /// [`ShardedReceiver::process_stream`](crate::engine::ShardedReceiver::process_stream)
-    /// — identical regions, identical events.
-    pub fn process_air(
-        &mut self,
-        air: &[Complex],
-        scfg: &crate::config::StreamConfig,
-    ) -> Vec<crate::stream::RegionOutcome> {
-        crate::stream::carve_buffer(air, &self.core.cfg, &self.core.registry, scfg)
-            .into_iter()
-            .map(|r| {
-                let events = self.core.receive_detected(&self.pipeline, &r.samples, r.detections);
-                crate::stream::RegionOutcome {
-                    seq: r.seq,
-                    start: r.start,
-                    len: r.samples.len(),
-                    queue_wait_ns: 0,
-                    events,
-                }
-            })
-            .collect()
-    }
-
-    /// The pre-engine monolithic control flow, kept verbatim as a
-    /// reference implementation. The pipeline-vs-legacy equivalence test
-    /// in `tests/engine.rs` checks `process` against this on identical
-    /// buffer sequences. (Algebraic recovery is pipeline-only: the
-    /// legacy flow predates it, and the equivalence holds for the
-    /// default configuration, where the `RecoverStage` is a no-op.)
-    #[doc(hidden)]
-    pub fn process_legacy(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        let detections =
-            detect_packets(buffer, &self.core.preamble, &self.core.registry, &self.core.cfg);
-        match detections.len() {
-            0 => vec![ReceiverEvent::DecodeFailed],
-            1 => self.legacy_single(buffer, detections[0]),
-            _ => self.legacy_collision(buffer, detections),
-        }
-    }
-
-    fn legacy_single(
-        &mut self,
-        buffer: &[Complex],
-        det: crate::detect::Detection,
-    ) -> Vec<ReceiverEvent> {
-        let mut out = Vec::new();
-        let decode = decode_single(
-            buffer,
-            det.pos,
-            Some(det.client),
-            &self.core.registry,
-            &self.core.preamble,
-            true,
-            &self.core.cfg,
-        );
-        match decode {
-            Some(d) if d.frame.is_some() => {
-                let frame = d.frame.clone().unwrap();
-                self.core.deliver(frame, DecodePath::Standard, &mut out);
-            }
-            _ => out.push(ReceiverEvent::DecodeFailed),
-        }
-        out
-    }
-
-    fn legacy_collision(
-        &mut self,
-        buffer: &[Complex],
-        detections: Vec<crate::detect::Detection>,
-    ) -> Vec<ReceiverEvent> {
-        let mut out = Vec::new();
-
-        // --- capture / single-collision interference cancellation ---
-        let mut by_power = detections.clone();
-        by_power.sort_by(|a, b| b.corr.abs().total_cmp(&a.corr.abs()));
-        let mut anchor: Option<(crate::detect::Detection, crate::standard::SingleDecode)> = None;
-        for cand in by_power.iter().take(4) {
-            if let Some(d) = decode_single(
-                buffer,
-                cand.pos,
-                Some(cand.client),
-                &self.core.registry,
-                &self.core.preamble,
-                false,
-                &self.core.cfg,
-            ) {
-                if d.frame.is_some() {
-                    anchor = Some((*cand, d));
-                    break;
-                }
-            }
-        }
-        if let Some((strong, strong_decode)) = anchor {
-            let f = strong_decode.frame.clone().unwrap();
-            self.core.deliver(f, DecodePath::Capture, &mut out);
-            let weak_det = by_power
-                .iter()
-                .find(|d| d.pos.abs_diff(strong.pos) >= self.core.preamble.len())
-                .copied();
-            if let Some(weak) = weak_det {
-                let residual =
-                    crate::capture::subtract_decoded(buffer, &strong_decode, &self.core.preamble);
-                let weak_decode = decode_single(
-                    &residual,
-                    weak.pos,
-                    Some(weak.client),
-                    &self.core.registry,
-                    &self.core.preamble,
-                    true,
-                    &self.core.cfg,
-                );
-                match weak_decode {
-                    Some(w) if w.frame.is_some() => {
-                        let f = w.frame.clone().unwrap();
-                        self.core.deliver(f, DecodePath::InterferenceCancellation, &mut out);
-                    }
-                    Some(w) => {
-                        let mut matched = None;
-                        for (i, (client, prev)) in self.core.weak_versions.iter().enumerate() {
-                            if *client != weak.client {
-                                continue;
-                            }
-                            if let Some(f) = mrc_combine_retry(prev, &w) {
-                                matched = Some((i, f));
-                                break;
-                            }
-                        }
-                        if let Some((i, f)) = matched {
-                            self.core.weak_versions.remove(i);
-                            self.core.deliver(f, DecodePath::MrcRetry, &mut out);
-                        } else {
-                            self.core.weak_versions.push((weak.client, w));
-                            if self.core.weak_versions.len() > self.core.cfg.collision_store {
-                                self.core.weak_versions.remove(0);
-                            }
-                        }
-                    }
-                    None => {}
-                }
-            }
-            if !out.is_empty() {
-                return out;
-            }
-        }
-
-        // --- match against the stored-collision index & ZigZag ---
-        // One call site with the pipeline: the same find_match_set /
-        // zigzag_decode_match pair MatchStage and ZigzagStage run.
-        let core = &mut self.core;
-        if let Some(set) = find_match_set(
-            &mut core.scratch,
-            buffer,
-            &detections,
-            &core.store,
-            &core.registry,
-            &core.preamble,
-        ) {
-            let plan = DecodePlan::from_set(&set);
-            zigzag_decode_match(&mut self.core, buffer, &plan, &set.members, &mut out);
-            return out;
-        }
-
-        // --- store for a future match ---
-        self.core.store_unmatched(buffer, &detections, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+    use crate::engine::ShardedReceiver;
     use rand::prelude::*;
     use zigzag_channel::fading::LinkProfile;
     use zigzag_channel::scenario::{clean_reception, hidden_pair};
@@ -308,8 +77,13 @@ mod tests {
         encode_frame(&f, Modulation::Bpsk, &Preamble::default_len())
     }
 
-    fn receiver_with(links: &[(u16, &LinkProfile)]) -> ZigzagReceiver {
-        let mut rx = ZigzagReceiver::new(DecoderConfig::default(), ClientRegistry::new());
+    /// The single-receiver front door: one shard, decoded inline.
+    fn single(cfg: DecoderConfig) -> ShardedReceiver {
+        ShardedReceiver::new(cfg, ShardConfig::with_shards(1), ClientRegistry::new())
+    }
+
+    fn receiver_with(links: &[(u16, &LinkProfile)]) -> ShardedReceiver {
+        let mut rx = single(DecoderConfig::default());
         for (id, l) in links {
             rx.associate(
                 *id,
@@ -375,7 +149,7 @@ mod tests {
         let a = air(1, 7, 300);
         let b = air(2, 9, 300);
         let hp = hidden_pair(&a, &b, &la, &lb, 420, 140, &mut rng);
-        let mut rx = ZigzagReceiver::new(DecoderConfig::with_solo_reap(), ClientRegistry::new());
+        let mut rx = single(DecoderConfig::with_solo_reap());
         for (id, l) in [(1, &la), (2, &lb)] {
             rx.associate(
                 id,
@@ -478,9 +252,10 @@ mod tests {
             let _ = rx.process(&hp.collision1.buffer);
         }
         assert!(rx.stored_collisions() > 0, "workload must store collisions");
-        for entry in rx.core.store().iter() {
+        let store = rx.cores[0].store();
+        for entry in store.iter() {
             assert!(
-                rx.core.store().key_len(&entry.key) <= rx.config().collision_store,
+                store.key_len(&entry.key) <= rx.config().collision_store,
                 "key {:?} exceeds the per-key bound",
                 entry.key
             );
@@ -509,7 +284,7 @@ mod tests {
         // two client sets on one AP: the shared-AP config windows the
         // client-set keys so one set's data sidelobes (§5.3a false
         // positives) can't pollute the other's store index
-        let mut rx = ZigzagReceiver::new(DecoderConfig::shared_ap(), ClientRegistry::new());
+        let mut rx = single(DecoderConfig::shared_ap());
         for (id, l) in [(1u16, &la), (2, &lb), (3, &lc), (4, &ld)] {
             rx.associate(
                 id,
@@ -576,7 +351,7 @@ mod tests {
     fn standard_pipeline_reports_expected_stages() {
         let rx = receiver_with(&[]);
         assert_eq!(
-            rx.pipeline().stage_names(),
+            rx.pipeline.stage_names(),
             ["detect", "standard-decode", "capture", "match", "plan", "zigzag", "recover", "store"]
         );
     }

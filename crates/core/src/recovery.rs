@@ -767,6 +767,26 @@ struct Solver<'a> {
 /// (mirrors the executor's `MIN_FEEDBACK_CHUNK`).
 const MIN_FEEDBACK_CHUNK: usize = 16;
 
+/// Solver window width, in symbols per packet: how many undecided
+/// symbols of each packet enter one joint least-squares solve.
+const SOLVE_WINDOW: usize = 32;
+
+/// Symbols committed (sliced and subtracted) per window advance; the
+/// remainder of the window provides look-ahead context.
+const SOLVE_COMMIT: usize = 16;
+const _: () = assert!(SOLVE_COMMIT >= 1 && SOLVE_COMMIT <= SOLVE_WINDOW);
+
+/// Tikhonov regularisation of the per-window normal equations, relative
+/// to the mean observation energy. Keeps barely-observed look-ahead
+/// symbols from destabilising the solve.
+const RIDGE_LAMBDA: f64 = 1e-4;
+
+/// Observation gate: a symbol is only committed when its equation energy
+/// (the normal-matrix diagonal) reaches this fraction of the window's
+/// strongest symbol — under-observed symbols wait for the window to
+/// slide instead of committing garbage.
+const MIN_OBSERVATION: f64 = 0.25;
+
 /// Outcome of [`Solver::prepare_window`].
 enum WindowPrep {
     /// The window assembled a least-squares system; solve it and feed the
@@ -795,7 +815,7 @@ impl WindowPrep {
 /// everything [`Solver::apply_window`] needs to gate and commit its
 /// solution. Column `col_of[(packet, symbol)]` holds that unknown symbol;
 /// `diag[j]` is column `j`'s observation energy (the normal-matrix
-/// diagonal), which gates commits against `min_observation * diag_max`.
+/// diagonal), which gates commits against `MIN_OBSERVATION * diag_max`.
 struct WindowSystem {
     rows: Vec<Vec<Complex>>,
     b: Vec<Complex>,
@@ -1034,8 +1054,8 @@ impl<'a> Solver<'a> {
     fn prepare_window(&mut self, ws: &mut Scratch) -> WindowPrep {
         let k = self.group.packets();
         let m = self.group.collisions();
-        let window = self.cfg.recovery.window.max(2);
-        let commit = self.cfg.recovery.commit.clamp(1, window);
+        let window = SOLVE_WINDOW;
+        let commit = SOLVE_COMMIT;
         let reach = self.reach();
 
         // unknown columns: per packet, the next `window` undecided symbols
@@ -1140,9 +1160,9 @@ impl<'a> Solver<'a> {
             let diag_min = diag.iter().copied().filter(|&d| d > 0.0).fold(f64::INFINITY, f64::min);
             let spread =
                 if diag_min.is_finite() { (diag_max / diag_min).sqrt().min(1e3) } else { 1.0 };
-            self.cfg.recovery.lambda * mean_diag.max(1e-12) * spread
+            RIDGE_LAMBDA * mean_diag.max(1e-12) * spread
         } else {
-            self.cfg.recovery.lambda * mean_diag.max(1e-12)
+            RIDGE_LAMBDA * mean_diag.max(1e-12)
         };
         WindowPrep::System(WindowSystem { rows, b, lambda, diag, diag_max, col_of, commit })
     }
@@ -1167,7 +1187,7 @@ impl<'a> Solver<'a> {
                 lambda = sys.lambda
             );
         }
-        let threshold = self.cfg.recovery.min_observation * sys.diag_max;
+        let threshold = MIN_OBSERVATION * sys.diag_max;
         let k = self.group.packets();
 
         // commit contiguously from each packet's frontier

@@ -10,11 +10,12 @@
 //! peeled against it, and a later clean solo retransmission reaps the
 //! still-buried peers out of the store (§4.1).
 //!
-//! [`CollisionService`] owns that per-episode receiver state. Rounds
-//! arrive batched (everything that closed in one simulated slot); the
-//! service fans independent episodes across a [`BatchEngine`] while
-//! keeping each episode's rounds sequential through its own
-//! [`ZigzagReceiver`]. Outputs are returned in input order and are
+//! [`CollisionService`] owns that per-episode receiver state: one
+//! [`ReceiverCore`] per episode, all run through one shared
+//! [`Pipeline::standard`]. Rounds arrive batched (everything that closed
+//! in one simulated slot); the service fans independent episodes across
+//! a [`BatchEngine`] while keeping each episode's rounds sequential
+//! through its own core. Outputs are returned in input order and are
 //! bit-identical across thread counts: episodes share no state, and the
 //! engine's dynamic scheduling never reorders results.
 
@@ -22,8 +23,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::config::{ClientRegistry, DecoderConfig};
-use crate::engine::BatchEngine;
-use crate::receiver::{ReceiverEvent, ZigzagReceiver};
+use crate::engine::{BatchEngine, Pipeline, ReceiverCore};
+use crate::receiver::ReceiverEvent;
 use zigzag_phy::complex::Complex;
 
 /// One lowered round: the synthesized air of everything that overlapped
@@ -46,7 +47,8 @@ pub struct EpisodeRound {
 pub struct CollisionService {
     engine: BatchEngine,
     cfg: DecoderConfig,
-    episodes: HashMap<u64, ZigzagReceiver>,
+    pipeline: Pipeline,
+    episodes: HashMap<u64, ReceiverCore>,
 }
 
 impl CollisionService {
@@ -55,7 +57,12 @@ impl CollisionService {
     /// §4.1 clean-retransmission reap — the configuration the cell
     /// simulator's signal resolver wants.
     pub fn new(cfg: DecoderConfig, threads: usize) -> Self {
-        Self { engine: BatchEngine::new(threads), cfg, episodes: HashMap::new() }
+        Self {
+            engine: BatchEngine::new(threads),
+            cfg,
+            pipeline: Pipeline::standard(),
+            episodes: HashMap::new(),
+        }
     }
 
     /// Worker count.
@@ -71,7 +78,7 @@ impl CollisionService {
     /// Stored (unresolved) collisions held for `episode`, if it is
     /// active.
     pub fn episode_depth(&self, episode: u64) -> Option<usize> {
-        self.episodes.get(&episode).map(ZigzagReceiver::stored_collisions)
+        self.episodes.get(&episode).map(|core| core.store().len())
     }
 
     /// Decodes a batch of rounds and returns each round's receiver
@@ -96,20 +103,21 @@ impl CollisionService {
         }
         // move each episode's receiver (creating it on first sight) into
         // a work item the pool can claim
-        let work: Vec<Mutex<(ZigzagReceiver, Vec<usize>)>> = order
+        let work: Vec<Mutex<(ReceiverCore, Vec<usize>)>> = order
             .iter()
             .map(|&ep| {
                 let idxs = by_episode.remove(&ep).expect("grouped above");
                 let rx = self.episodes.remove(&ep).unwrap_or_else(|| {
-                    ZigzagReceiver::new(self.cfg.clone(), rounds[idxs[0]].registry.clone())
+                    ReceiverCore::new(self.cfg.clone(), rounds[idxs[0]].registry.clone())
                 });
                 Mutex::new((rx, idxs))
             })
             .collect();
+        let pipeline = &self.pipeline;
         let per_group: Vec<Vec<(usize, Vec<ReceiverEvent>)>> = self.engine.map(&work, |_, cell| {
             let mut guard = cell.lock().expect("episode work item poisoned");
-            let (rx, idxs) = &mut *guard;
-            idxs.clone().into_iter().map(|i| (i, rx.process(&rounds[i].buffer))).collect()
+            let (core, idxs) = &mut *guard;
+            idxs.iter().map(|&i| (i, core.receive(pipeline, &rounds[i].buffer))).collect()
         });
         // reclaim receiver state, then scatter events back to input order
         for (&ep, cell) in order.iter().zip(work) {

@@ -12,7 +12,8 @@
 //!      └──────────────────┴───────────────────────────────┘
 //! ```
 //!
-//! A slow shard fills its bounded [`IngestQueue`]; the carver's dispatch
+//! A slow shard fills its bounded
+//! [`IngestQueue`](crate::engine::IngestQueue); the carver's dispatch
 //! blocks; the driver stops draining the ring; the ring fills; and
 //! [`StreamSource::push_samples`] blocks. Memory is bounded by
 //! `ring_depth + shards × queue_depth × region` and **no sample is ever
@@ -32,11 +33,10 @@ use super::ring::SampleRing;
 use super::window::WindowScanner;
 use crate::config::{ClientRegistry, DecoderConfig, StreamConfig};
 use crate::engine::scratch::Scratch;
-use crate::engine::shard::{route_shard, IngestQueue, ShardedReceiver};
-use crate::matchset::collision_key;
+use crate::engine::shard::{OnDrop, ShardedReceiver};
 use crate::receiver::ReceiverEvent;
+use std::borrow::Cow;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::preamble::Preamble;
 
@@ -248,26 +248,6 @@ impl SharedStream {
     }
 }
 
-/// Closes the stream when dropped (producer-side panic safety: the
-/// driver must never wait forever on a source that died mid-push).
-struct CloseStreamOnDrop<'a>(&'a SharedStream);
-
-impl Drop for CloseStreamOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// Aborts the ring when dropped (driver-side panic safety: the producer
-/// must never wait forever on a driver that died mid-carve).
-struct AbortStreamOnDrop<'a>(&'a SharedStream);
-
-impl Drop for AbortStreamOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.abort();
-    }
-}
-
 /// The producer's handle into a running
 /// [`process_stream`](ShardedReceiver::process_stream): push raw IQ
 /// sample chunks of any size; the call **blocks** while the bounded ring
@@ -346,25 +326,6 @@ impl StreamOutcome {
     }
 }
 
-/// One routed unit of stream ingest: an owned carved region plus its
-/// enqueue timestamp (for queue-latency accounting).
-struct RegionJob {
-    region: CarvedRegion,
-    enqueued: Instant,
-}
-
-/// Closes the given queues when dropped (same panic-safety latch as the
-/// batch router's).
-struct CloseQueuesOnDrop<'a>(&'a [IngestQueue<RegionJob>]);
-
-impl Drop for CloseQueuesOnDrop<'_> {
-    fn drop(&mut self) {
-        for q in self.0 {
-            q.close();
-        }
-    }
-}
-
 impl ShardedReceiver {
     /// Decodes a continuous IQ stream: spawns `producer` on its own
     /// thread with a [`StreamSource`] to push arbitrary sample chunks
@@ -405,101 +366,69 @@ impl ShardedReceiver {
     where
         F: FnOnce(&StreamSource<'_>) + Send,
     {
-        let n = self.cores.len();
-        let depth = self.shard_cfg.queue_depth.max(1);
-        let l = self.preamble.len();
         let mut seg = Segmenter::new(&self.cfg, &self.registry, scfg);
         let pull = seg.window;
-        let shared = SharedStream::new(scfg.effective_ring_depth(l));
-        let queues: Vec<IngestQueue<RegionJob>> = (0..n).map(|_| IngestQueue::new(depth)).collect();
-        let results: Vec<Mutex<Vec<RegionOutcome>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let Self { cfg, pipeline, cores, loads, stalls, high_water, .. } = self;
-        let (cfg, pipeline) = (&*cfg, &*pipeline);
+        let shared = SharedStream::new(scfg.effective_ring_depth(self.preamble.len()));
         let shared_ref = &shared;
+        // (start, len) of every dispatched region, in seq order
+        let mut spans: Vec<(usize, usize)> = Vec::new();
 
-        let mut carved_samples = 0u64;
-        std::thread::scope(|s| {
+        let run = std::thread::scope(|s| {
             s.spawn(move || {
-                let _close = CloseStreamOnDrop(shared_ref);
+                // the driver must never wait forever on a source that
+                // died mid-push
+                let _close = OnDrop(|| shared_ref.close());
                 producer(&StreamSource { shared: shared_ref });
             });
-            for ((core, queue), slot) in cores.iter_mut().zip(&queues).zip(&results) {
-                s.spawn(move || {
-                    let _closer = CloseQueuesOnDrop(std::slice::from_ref(queue));
-                    let mut local = Vec::new();
-                    while let Some(job) = queue.pop() {
-                        let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
-                        let region = job.region;
-                        let events =
-                            core.receive_detected(pipeline, &region.samples, region.detections);
-                        local.push(RegionOutcome {
-                            seq: region.seq,
-                            start: region.start,
-                            len: region.samples.len(),
-                            queue_wait_ns,
-                            events,
-                        });
+            // driver (caller thread): drain ring → segment → dispatch.
+            // Whatever kills the driver, the guard aborts the ring so the
+            // producer exits too and the panic propagates.
+            let _abort = OnDrop(|| shared_ref.abort());
+            self.run_shards(|dispatch| {
+                let mut chunk = Vec::new();
+                let mut regions = Vec::new();
+                loop {
+                    let more = shared_ref.pop_chunk(pull, &mut chunk);
+                    if more {
+                        seg.push(&chunk, &mut regions);
+                    } else {
+                        seg.finish(&mut regions);
                     }
-                    *slot.lock().expect("stream result slot poisoned") = local;
-                });
-            }
-
-            // driver (caller thread): drain ring → segment → route. Both
-            // guards exist for panic safety: whatever kills the driver,
-            // the workers' queues close and the producer's ring aborts,
-            // so every thread exits and the panic propagates.
-            let _abort = AbortStreamOnDrop(shared_ref);
-            let closer = CloseQueuesOnDrop(&queues);
-            let mut chunk = Vec::new();
-            let mut regions = Vec::new();
-            loop {
-                let more = shared.pop_chunk(pull, &mut chunk);
-                if more {
-                    seg.push(&chunk, &mut regions);
-                } else {
-                    seg.finish(&mut regions);
-                }
-                for region in regions.drain(..) {
-                    let shard = route_shard(&collision_key(&region.detections, cfg.key_window), n);
-                    loads[shard] += 1;
-                    carved_samples += region.samples.len() as u64;
-                    let job = RegionJob { region, enqueued: Instant::now() };
-                    if queues[shard].push(job).is_err() {
-                        panic!("shard {shard} worker terminated before its ingest completed");
+                    for region in regions.drain(..) {
+                        spans.push((region.start, region.samples.len()));
+                        dispatch(region.seq, Cow::Owned(region.samples), region.detections);
+                    }
+                    if !more {
+                        break;
                     }
                 }
-                if !more {
-                    break;
-                }
-            }
-            drop(closer);
+            })
         });
 
-        let mut region_out: Vec<RegionOutcome> = results
+        let regions: Vec<RegionOutcome> = run
+            .finished
             .into_iter()
-            .flat_map(|m| m.into_inner().expect("stream result slot poisoned"))
+            .zip(spans)
+            .map(|(f, (start, len))| RegionOutcome {
+                seq: f.seq,
+                start,
+                len,
+                queue_wait_ns: f.queue_wait_ns,
+                events: f.events,
+            })
             .collect();
-        region_out.sort_by_key(|r| r.seq);
-
         let (samples, source_stalls, ring_high_water) = shared.stats();
-        let shard_stalls: Vec<u64> = queues.iter().map(|q| q.stalls()).collect();
-        let queue_hw: Vec<usize> = queues.iter().map(|q| q.high_water()).collect();
-        for (i, q) in queues.iter().enumerate() {
-            stalls[i] += q.stalls();
-            high_water[i] = high_water[i].max(q.high_water());
-        }
         StreamOutcome {
             stats: StreamStats {
                 samples,
-                regions: region_out.len(),
-                carved_samples,
+                regions: regions.len(),
+                carved_samples: regions.iter().map(|r| r.len as u64).sum(),
                 source_stalls,
                 ring_high_water,
-                shard_stalls,
-                queue_high_water: queue_hw,
+                shard_stalls: run.stalls,
+                queue_high_water: run.high_water,
             },
-            regions: region_out,
+            regions,
         }
     }
 }

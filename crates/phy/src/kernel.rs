@@ -140,9 +140,26 @@ pub struct MatchScore {
     /// in `[0, 1]` (0 when the overlap is empty or either side has no
     /// energy).
     pub metric: f64,
-    /// The τ achieving the best metric (the earliest such τ on exact
-    /// ties — both backends sweep in ascending τ order).
+    /// The τ achieving the best metric. Metrics within 1e-12 of each
+    /// other are ties, resolved toward the smallest |τ| (the earlier
+    /// candidate of the ascending sweep on equal |τ|).
     pub tau: f64,
+}
+
+/// Near-tie tolerance of the τ argmax. Metrics lie in `[0, 1]`, so this
+/// sits far above summation rounding (~1e-15) and far below any
+/// difference that carries alignment information.
+const TIE_EPS: f64 = 1e-12;
+
+/// The one argmax predicate of every τ sweep: the candidate `metric` at
+/// `tau` replaces `best` when it is larger by more than [`TIE_EPS`], or
+/// when it ties within [`TIE_EPS`] at a strictly smaller |τ|. A flat
+/// metric — a 1-sample overlap scores 1 at every τ — thus resolves to the
+/// τ closest to 0 on every backend and path, instead of whichever
+/// candidate 1e-15 rounding happened to favour.
+fn improves(metric: f64, tau: f64, best: &MatchScore) -> bool {
+    metric > best.metric + TIE_EPS
+        || (metric >= best.metric - TIE_EPS && tau.abs() < best.tau.abs())
 }
 
 /// One pre-interpolated sub-sample lane of a [`CorrFootprint`]: the
@@ -399,11 +416,12 @@ fn build_span_lanes(
 /// footprints, 0 for per-call spans). The inner accumulation runs on the
 /// lane kernels (`lanes::match_candidate`).
 ///
-/// τ candidates are visited in ascending order with a strict-greater
-/// best update — the same tie-breaking as the `Scalar` reference — and
-/// with `bail` set, a candidate is dropped mid-accumulation when the
-/// Cauchy–Schwarz tail bound `(|acc| + √(ea_rem·eb_rem))/√(ea·eb)`
-/// cannot reach `max(bail, best-so-far)`.
+/// τ candidates are visited in ascending order and kept by [`improves`]
+/// — the same tie-breaking as the `Scalar` reference — and with `bail`
+/// set, a candidate is dropped mid-accumulation when the Cauchy–Schwarz
+/// tail bound `(|acc| + √(ea_rem·eb_rem))/√(ea·eb)` cannot reach
+/// `max(bail, best-so-far − TIE_EPS)` (a candidate that can still tie
+/// the best may still win on |τ|).
 fn simd_sweep(
     ar: &[f64],
     ai: &[f64],
@@ -432,7 +450,7 @@ fn simd_sweep(
             continue;
         }
         let denom = (ea_tot * eb_tot).sqrt();
-        let cutoff = bail.map(|t| t.max(best.metric));
+        let cutoff = bail.map(|t| t.max(best.metric - TIE_EPS));
         let lat = &lane.samples[base..base + n];
         let Some((re, im)) =
             lanes::match_candidate(ar, ai, lat, ea_prefix, lane, base, denom, ea_tot, cutoff)
@@ -440,7 +458,7 @@ fn simd_sweep(
             continue;
         };
         let metric = (re * re + im * im).sqrt() / denom;
-        if metric > best.metric {
+        if improves(metric, tau, &best) {
             best = MatchScore { metric, tau };
         }
     }
@@ -643,7 +661,7 @@ impl Backend for Scalar {
             }
             if ea > 0.0 && eb > 0.0 {
                 let metric = acc.abs() / (ea * eb).sqrt();
-                if metric > best.metric {
+                if improves(metric, tau, &best) {
                     best = MatchScore { metric, tau };
                 }
             }
@@ -688,7 +706,7 @@ impl Backend for Scalar {
             }
             if ea > 0.0 && eb > 0.0 {
                 let metric = acc.abs() / (ea * eb).sqrt();
-                if metric > best.metric {
+                if improves(metric, tau, &best) {
                     best = MatchScore { metric, tau };
                 }
             }

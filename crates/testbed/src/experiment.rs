@@ -19,8 +19,8 @@ use rand::prelude::*;
 use zigzag_channel::fading::{ChannelParams, LinkProfile};
 use zigzag_channel::scenario::{synth_collision, PlacedTx, SynthCollision};
 use zigzag_core::capture::capture_decode;
-use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag_core::engine::BatchEngine;
+use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag_core::engine::{BatchEngine, ShardedReceiver};
 use zigzag_core::schedule::PlanOutcome;
 use zigzag_core::standard::decode_single;
 use zigzag_core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
@@ -375,11 +375,10 @@ pub fn run_pairs(
 ///
 /// Where [`PairScenario`]/[`run_pair`] compare the three schemes with a
 /// hand-rolled decode flow, a `SetScenario` drives every receive buffer
-/// through the *actual* receiver pipeline
-/// ([`ZigzagReceiver::process`](zigzag_core::ZigzagReceiver::process), i.e.
-/// `ReceiverCore::receive`): collisions accumulate in the keyed store
-/// until a decodable k×k match set exists, then ZigZag recovers all k
-/// frames. This is the generalization `run_pairs` was the k=2 shadow of.
+/// through the *actual* receiver pipeline (a one-shard
+/// [`ShardedReceiver::process`], i.e. `ReceiverCore::receive`):
+/// collisions accumulate in the keyed store until a decodable k×k match
+/// set exists, then ZigZag recovers all k frames. This is the generalization `run_pairs` was the k=2 shadow of.
 #[derive(Clone, Debug)]
 pub struct SetScenario {
     /// Per-sender links to the AP (sender `i` gets client id `i+1`).
@@ -430,8 +429,8 @@ impl SetOutcome {
 /// Runs one saturated k-sender scenario end-to-end through the receiver
 /// pipeline. Each contention round either resolves by carrier sense
 /// (clean slots, one per sender) or all k senders collide with fresh
-/// MAC jitter; every receive buffer goes through
-/// `ZigzagReceiver::process`, so delivery happens exactly when the
+/// MAC jitter; every receive buffer goes through a one-shard
+/// [`ShardedReceiver::process`], so delivery happens exactly when the
 /// pipeline's detect/match/plan/zigzag stages recover a frame.
 pub fn run_set(scenario: &SetScenario, cfg: &ExperimentConfig) -> SetOutcome {
     let k = scenario.links.len();
@@ -439,7 +438,7 @@ pub fn run_set(scenario: &SetScenario, cfg: &ExperimentConfig) -> SetOutcome {
     let ids: Vec<(u16, &LinkProfile)> =
         scenario.links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
     let reg = registry_for(&ids);
-    let mut rx = zigzag_core::ZigzagReceiver::new(cfg.decoder.clone(), reg);
+    let mut rx = ShardedReceiver::new(cfg.decoder.clone(), ShardConfig::with_shards(1), reg);
     let mut tx: Vec<TxState> = (0..k)
         .map(|s| TxState::new(s as u16 + 1, 0, cfg.payload, &scenario.links[s], &mut rng))
         .collect();
@@ -552,7 +551,8 @@ pub struct RecoveryScenario {
 
 /// Runs one degenerate-backoff scenario end-to-end through the receiver
 /// pipeline: every round all senders collide at the scenario's fixed
-/// offsets, and each buffer goes through `ZigzagReceiver::process`.
+/// offsets, and each buffer goes through a one-shard
+/// [`ShardedReceiver::process`].
 /// With recovery disabled the outcome is (by §4.5) zero deliveries; with
 /// recovery enabled, consecutive collisions jointly solve.
 pub fn run_recovery_set(scenario: &RecoveryScenario, cfg: &ExperimentConfig) -> SetOutcome {
@@ -562,7 +562,7 @@ pub fn run_recovery_set(scenario: &RecoveryScenario, cfg: &ExperimentConfig) -> 
     let ids: Vec<(u16, &LinkProfile)> =
         scenario.links.iter().enumerate().map(|(i, l)| (i as u16 + 1, l)).collect();
     let reg = registry_for(&ids);
-    let mut rx = zigzag_core::ZigzagReceiver::new(cfg.decoder.clone(), reg);
+    let mut rx = ShardedReceiver::new(cfg.decoder.clone(), ShardConfig::with_shards(1), reg);
     let mut tx: Vec<TxState> = (0..k)
         .map(|s| TxState::new(s as u16 + 1, 0, cfg.payload, &scenario.links[s], &mut rng))
         .collect();
@@ -760,7 +760,7 @@ pub struct ShardedRun {
 pub fn run_sharded_sets(
     scenarios: &[SetScenario],
     cfg: &ExperimentConfig,
-    shard: zigzag_core::ShardConfig,
+    shard: ShardConfig,
 ) -> ShardedRun {
     let bases: Vec<u16> = scenarios
         .iter()
@@ -1200,13 +1200,9 @@ mod tests {
             decoder: DecoderConfig::shared_ap(),
             ..Default::default()
         };
-        let r1 = run_sharded_sets(&scenarios, &cfg, zigzag_core::ShardConfig::with_shards(1));
-        let r2 = run_sharded_sets(&scenarios, &cfg, zigzag_core::ShardConfig::with_shards(2));
-        let r4 = run_sharded_sets(
-            &scenarios,
-            &cfg,
-            zigzag_core::ShardConfig { shards: 4, queue_depth: 2 },
-        );
+        let r1 = run_sharded_sets(&scenarios, &cfg, ShardConfig::with_shards(1));
+        let r2 = run_sharded_sets(&scenarios, &cfg, ShardConfig::with_shards(2));
+        let r4 = run_sharded_sets(&scenarios, &cfg, ShardConfig { shards: 4, queue_depth: 2 });
         assert_eq!(r1.outcomes, r2.outcomes, "2-shard run diverged from single-shard");
         assert_eq!(r1.outcomes, r4.outcomes, "4-shard run diverged from single-shard");
         let zigzag: usize = r1.outcomes.iter().map(|o| o.zigzag_delivered).sum();

@@ -20,9 +20,9 @@
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag::core::engine::ShardedReceiver;
 use zigzag::core::receiver::{DecodePath, ReceiverEvent};
-use zigzag::core::ZigzagReceiver;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -67,7 +67,8 @@ fn main() {
     // The paper's receiver: stores the first collision, *rejects* the
     // second (the pure-shift alignment is the Δ₁ = Δ₂ case its scheduler
     // cannot decode), stores it too. Nothing ever delivers.
-    let mut zigzag_only = ZigzagReceiver::new(DecoderConfig::default(), reg.clone());
+    let mut zigzag_only =
+        ShardedReceiver::new(DecoderConfig::default(), ShardConfig::with_shards(1), reg.clone());
     let mut delivered = 0;
     for c in [&c1, &c2] {
         delivered += zigzag_only
@@ -81,7 +82,8 @@ fn main() {
     // The recovery-enabled receiver: the confirmed-but-undecodable
     // alignment goes to the algebraic batch solver, which decodes both
     // packets jointly across the two buffers.
-    let mut rx = ZigzagReceiver::new(DecoderConfig::with_recovery(), reg);
+    let mut rx =
+        ShardedReceiver::new(DecoderConfig::with_recovery(), ShardConfig::with_shards(1), reg);
     let _ = rx.process(&c1);
     for ev in rx.process(&c2) {
         if let ReceiverEvent::Delivered { frame, path } = ev {

@@ -9,11 +9,11 @@
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{
-    CaptureStage, DetectStage, MatchStage, Pipeline, StandardDecodeStage, StoreStage,
+    CaptureStage, DetectStage, MatchStage, Pipeline, ShardedReceiver, StandardDecodeStage,
+    StoreStage,
 };
-use zigzag::core::receiver::ZigzagReceiver;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -50,8 +50,13 @@ fn main() {
         Box::new(MatchStage),
         Box::new(StoreStage),
     ]);
-    let mut rx = ZigzagReceiver::with_pipeline(DecoderConfig::default(), registry, pipeline);
-    println!("custom pipeline: {:?}", rx.pipeline().stage_names());
+    println!("custom pipeline: {:?}", pipeline.stage_names());
+    let mut rx = ShardedReceiver::with_pipeline(
+        DecoderConfig::default(),
+        ShardConfig::with_shards(1),
+        registry,
+        pipeline,
+    );
 
     for (k, buf) in [&hp.collision1.buffer, &hp.collision2.buffer].iter().enumerate() {
         let events = rx.process(buf);

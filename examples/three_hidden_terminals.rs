@@ -2,19 +2,20 @@
 //!
 //! Three senders, hidden from each other, collide three times with
 //! different MAC offsets. Every receive buffer goes through the actual
-//! AP pipeline (`ZigzagReceiver::process`, i.e. `ReceiverCore::receive`):
-//! the first two collisions are detected as unresolvable and parked in
-//! the keyed collision store; the third completes a decodable 3×3 match
-//! set, and the k-way matcher + greedy scheduler + executor recover all
-//! three packets in one pass.
+//! AP pipeline (a one-shard `ShardedReceiver::process`, i.e.
+//! `ReceiverCore::receive`): the first two collisions are detected as
+//! unresolvable and parked in the keyed collision store; the third
+//! completes a decodable 3×3 match set, and the k-way matcher + greedy
+//! scheduler + executor recover all three packets in one pass.
 //!
 //! Run: `cargo run --release --example three_hidden_terminals`
 
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag::core::engine::ShardedReceiver;
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -49,7 +50,8 @@ fn main() {
             ClientInfo { omega: l.association_omega(), snr_db: l.snr_db, taps: l.isi.clone() },
         );
     }
-    let mut rx = ZigzagReceiver::new(DecoderConfig::default(), registry);
+    let mut rx =
+        ShardedReceiver::new(DecoderConfig::default(), ShardConfig::with_shards(1), registry);
 
     let mut recovered = Vec::new();
     for (round, offs) in offsets.iter().enumerate() {

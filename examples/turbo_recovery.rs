@@ -24,9 +24,9 @@
 use rand::prelude::*;
 use zigzag::channel::fading::{LinkProfile, DEFAULT_PHASE_NOISE, DEFAULT_SAMPLING_DRIFT};
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag::core::engine::ShardedReceiver;
 use zigzag::core::receiver::{DecodePath, ReceiverEvent};
-use zigzag::core::ZigzagReceiver;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
@@ -75,7 +75,7 @@ fn main() {
     let c2 = collide(&mut rng);
 
     let recovered = |cfg: DecoderConfig| -> Vec<Frame> {
-        let mut rx = ZigzagReceiver::new(cfg, reg.clone());
+        let mut rx = ShardedReceiver::new(cfg, ShardConfig::with_shards(1), reg.clone());
         [&c1, &c2]
             .iter()
             .flat_map(|c| rx.process(c))

@@ -5,8 +5,9 @@
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::hidden_pair;
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
-use zigzag::core::receiver::{ReceiverEvent, ZigzagReceiver};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
+use zigzag::core::engine::ShardedReceiver;
+use zigzag::core::receiver::ReceiverEvent;
 use zigzag::core::schedule::PlanOutcome;
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag::mac::{Backoff, MacParams};
@@ -14,6 +15,11 @@ use zigzag::phy::bits::bit_error_rate;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
+
+/// The single-receiver front door: one shard, decoded inline.
+fn single(cfg: DecoderConfig, registry: ClientRegistry) -> ShardedReceiver {
+    ShardedReceiver::new(cfg, ShardConfig::with_shards(1), registry)
+}
 
 fn registry(links: &[(u16, &LinkProfile)]) -> ClientRegistry {
     let mut reg = ClientRegistry::new();
@@ -91,7 +97,7 @@ fn receiver_front_end_delivers_both_frames() {
     // An 802.11 sender retransmits until acked; feed the AP successive
     // collisions until both frames come out (frame-level delivery needs a
     // clean CRC, so a marginal pass just waits for the next pair).
-    let mut ap = ZigzagReceiver::new(DecoderConfig::default(), registry(&[(1, &la), (2, &lb)]));
+    let mut ap = single(DecoderConfig::default(), registry(&[(1, &la), (2, &lb)]));
     let mut delivered: Vec<(u16, u16)> = Vec::new();
     for (round, (d1, d2)) in [(360, 130), (280, 90), (420, 180)].iter().enumerate() {
         let hp = hidden_pair(&a, &b, &la, &lb, *d1, *d2, &mut rng);
@@ -117,7 +123,7 @@ fn receiver_front_end_delivers_both_frames() {
 fn no_collision_no_overhead() {
     let mut rng = StdRng::seed_from_u64(5);
     let l = LinkProfile::typical(15.0, &mut rng);
-    let mut ap = ZigzagReceiver::new(DecoderConfig::default(), registry(&[(1, &l)]));
+    let mut ap = single(DecoderConfig::default(), registry(&[(1, &l)]));
     for seq in 0..4u16 {
         let f = Frame::with_random_payload(0, 1, seq, 250, seq as u64);
         let a = encode_frame(&f, Modulation::Bpsk, &Preamble::default_len());

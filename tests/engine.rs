@@ -1,16 +1,16 @@
-//! Engine-level integration tests: the stage pipeline must reproduce the
-//! legacy monolithic receiver event-for-event, and the multi-threaded
-//! `BatchEngine` must be bit-for-bit identical to a single-threaded run.
+//! Engine-level integration tests: the stage pipeline must reproduce its
+//! golden event hashes, and the multi-threaded `BatchEngine` must be
+//! bit-for-bit identical to a single-threaded run.
 
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{clean_reception, hidden_pair, synth_collision, PlacedTx};
-use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{
     decode_batch, unit_seed, BatchEngine, CaptureStage, DecodeUnit, DetectStage, MatchStage,
-    Pipeline, ReceiverCore, StandardDecodeStage, StoreStage,
+    Pipeline, ReceiverCore, ShardedReceiver, StandardDecodeStage, StoreStage,
 };
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::core::zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
@@ -58,8 +58,8 @@ fn build_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
 }
 
 /// Unequal-power collision units (strong 22 dB over weak 13 dB), so the
-/// capture / interference-cancellation / MRC-retry stage translation is
-/// differentially exercised too — equal-power units never take it.
+/// capture / interference-cancellation / MRC-retry stages are exercised
+/// too — equal-power units never take them.
 fn build_capture_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
     (0..n)
         .map(|i| {
@@ -78,39 +78,118 @@ fn build_capture_units(n: usize, payload: usize) -> Vec<DecodeUnit> {
         .collect()
 }
 
-/// The tentpole equivalence claim: the stage pipeline emits the same
-/// event sequence as the legacy monolithic control flow, buffer for
-/// buffer, over clean receptions, collisions, matched pairs, capture
-/// scenarios and noise.
-#[test]
-fn pipeline_matches_legacy_event_for_event() {
-    let mut units = build_units(4, 200);
-    units.extend(build_capture_units(3, 250));
-    let mut capture_fired = false;
-    for unit in &units {
-        let mut pipeline_rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
-        let mut legacy_rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
-        for (k, buffer) in unit.buffers.iter().enumerate() {
-            let ev_pipeline = pipeline_rx.process(buffer);
-            let ev_legacy = legacy_rx.process_legacy(buffer);
-            assert_eq!(
-                ev_pipeline, ev_legacy,
-                "pipeline and legacy receivers diverged on buffer {k}"
-            );
-            capture_fired |= ev_pipeline.iter().any(|e| {
-                matches!(
-                    e,
-                    ReceiverEvent::Delivered {
-                        path: zigzag::core::receiver::DecodePath::Capture
-                            | zigzag::core::receiver::DecodePath::InterferenceCancellation
-                            | zigzag::core::receiver::DecodePath::MrcRetry,
-                        ..
-                    }
-                )
-            });
+/// Three senders at distinct oscillator offsets colliding three times
+/// with distinct offset structure (a decodable 3×3 system): the first two
+/// collisions are stored, the third completes the match set. Returns the
+/// registry, the three receive buffers, and each buffer's ground-truth
+/// placements.
+fn three_sender_set() -> (ClientRegistry, Vec<Vec<Complex>>, [[usize; 3]; 3]) {
+    let mut rng = StdRng::seed_from_u64(3);
+    // Distinct oscillator offsets per client: the AP tells senders apart
+    // by frequency-compensated correlation (§4.2.1), so a k-way workload
+    // needs separated ω's to be physically resolvable.
+    let omegas = [-0.08, 0.02, 0.09];
+    let links: Vec<LinkProfile> =
+        (0..3).map(|i| LinkProfile::clean_with_omega(18.0, omegas[i])).collect();
+    let airs: Vec<zigzag::phy::frame::AirFrame> =
+        (0..3).map(|i| air(i as u16 + 1, i as u16, 150)).collect();
+    let chans: Vec<_> = links.iter().map(|l| l.draw(&mut rng)).collect();
+    let offs = [[0usize, 310, 620], [0, 620, 310], [100, 0, 450]];
+    let buffers: Vec<Vec<Complex>> = offs
+        .iter()
+        .map(|o| {
+            let placed: Vec<PlacedTx<'_>> =
+                (0..3).map(|i| PlacedTx { air: &airs[i], base: &chans[i], start: o[i] }).collect();
+            synth_collision(&placed, 1.0, &mut rng).buffer
+        })
+        .collect();
+    (registry(&[(1, &links[0]), (2, &links[1]), (3, &links[2])]), buffers, offs)
+}
+
+/// FNV-1a over `bytes`, folded into `h`.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds one buffer's event sequence into `h`: the event count, then per
+/// event its variant tag, and for a delivery its [`DecodePath`] tag and
+/// the frame's length-prefixed MPDU bytes.
+fn hash_events(h: &mut u64, events: &[ReceiverEvent]) {
+    fnv1a(h, &(events.len() as u64).to_le_bytes());
+    for e in events {
+        match e {
+            ReceiverEvent::Delivered { frame, path } => {
+                let path_tag = match path {
+                    DecodePath::Standard => 0,
+                    DecodePath::Capture => 1,
+                    DecodePath::InterferenceCancellation => 2,
+                    DecodePath::Zigzag => 3,
+                    DecodePath::MrcRetry => 4,
+                    DecodePath::Recovered => 5,
+                };
+                fnv1a(h, &[0, path_tag]);
+                let mpdu = frame.mpdu_bytes();
+                fnv1a(h, &(mpdu.len() as u64).to_le_bytes());
+                fnv1a(h, &mpdu);
+            }
+            ReceiverEvent::CollisionStored => fnv1a(h, &[1]),
+            ReceiverEvent::DecodeFailed => fnv1a(h, &[2]),
         }
     }
-    assert!(capture_fired, "workload must exercise the capture/IC stage translation");
+}
+
+/// Golden digests of the standard pipeline's events on the three
+/// workloads below, recorded (identically on the scalar and simd
+/// backends) while the pipeline still matched the original monolithic
+/// receiver flow event-for-event. A change to any of them is a change in
+/// decode behaviour.
+const GOLDEN_MIXED: u64 = 0x090e_957d_5294_da56;
+const GOLDEN_CAPTURE: u64 = 0x87db_eb56_de2d_0dcc;
+const GOLDEN_THREE_SENDER: u64 = 0x011b_1f6e_c397_9b0b;
+
+/// Digest of every unit's per-buffer events through a fresh one-shard
+/// receiver (the front door a single AP uses).
+fn pipeline_digest(units: &[DecodeUnit]) -> (u64, Vec<ReceiverEvent>) {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut all = Vec::new();
+    for unit in units {
+        let mut rx = ShardedReceiver::new(
+            unit.cfg.clone(),
+            ShardConfig::with_shards(1),
+            unit.registry.clone(),
+        );
+        for buffer in &unit.buffers {
+            let events = rx.process(buffer);
+            hash_events(&mut h, &events);
+            all.extend(events);
+        }
+    }
+    (h, all)
+}
+
+/// The pipeline's behaviour pin: over clean receptions, collisions,
+/// matched pairs, capture scenarios and noise, the standard pipeline's
+/// events hash to the recorded golden digests.
+#[test]
+fn pipeline_matches_golden_event_hashes() {
+    let (mixed, _) = pipeline_digest(&build_units(4, 200));
+    let (capture, events) = pipeline_digest(&build_capture_units(3, 250));
+    let capture_fired = events.iter().any(|e| {
+        matches!(
+            e,
+            ReceiverEvent::Delivered {
+                path: DecodePath::Capture
+                    | DecodePath::InterferenceCancellation
+                    | DecodePath::MrcRetry,
+                ..
+            }
+        )
+    });
+    assert!(capture_fired, "workload must exercise the capture/IC stage");
+    assert_eq!(mixed, GOLDEN_MIXED, "mixed workload digest {mixed:#018x}");
+    assert_eq!(capture, GOLDEN_CAPTURE, "capture workload digest {capture:#018x}");
 }
 
 /// Multi-threaded batch decoding must equal the single-threaded run
@@ -159,7 +238,12 @@ fn custom_pipeline_without_zigzag_keeps_stored_collisions() {
         Box::new(MatchStage),
         Box::new(StoreStage),
     ]);
-    let mut rx = ZigzagReceiver::with_pipeline(unit.cfg.clone(), unit.registry.clone(), pipeline);
+    let mut rx = ShardedReceiver::with_pipeline(
+        unit.cfg.clone(),
+        ShardConfig::with_shards(1),
+        unit.registry.clone(),
+        pipeline,
+    );
     // buffers[1] and buffers[2] are the matched retransmission pair
     let ev1 = rx.process(&unit.buffers[1]);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
@@ -174,30 +258,10 @@ fn custom_pipeline_without_zigzag_keeps_stored_collisions() {
 /// frames end-to-end through `ReceiverCore::receive` — the first two
 /// collisions accumulate in the keyed store, the third completes a
 /// decodable 3×3 match set — with frames identical to the hand-driven
-/// executor/scheduler path, and the legacy flow agreeing event-for-event.
+/// executor/scheduler path, and the events matching their golden digest.
 #[test]
 fn three_sender_collisions_decode_through_pipeline() {
-    let mut rng = StdRng::seed_from_u64(3);
-    // Distinct oscillator offsets per client: the AP tells senders apart
-    // by frequency-compensated correlation (§4.2.1), so a k-way workload
-    // needs separated ω's to be physically resolvable.
-    let omegas = [-0.08, 0.02, 0.09];
-    let links: Vec<LinkProfile> =
-        (0..3).map(|i| LinkProfile::clean_with_omega(18.0, omegas[i])).collect();
-    let airs: Vec<zigzag::phy::frame::AirFrame> =
-        (0..3).map(|i| air(i as u16 + 1, i as u16, 150)).collect();
-    let chans: Vec<_> = links.iter().map(|l| l.draw(&mut rng)).collect();
-    // three collisions with distinct offset structure (decodable 3×3)
-    let offs = [[0usize, 310, 620], [0, 620, 310], [100, 0, 450]];
-    let buffers: Vec<Vec<Complex>> = offs
-        .iter()
-        .map(|o| {
-            let placed: Vec<PlacedTx<'_>> =
-                (0..3).map(|i| PlacedTx { air: &airs[i], base: &chans[i], start: o[i] }).collect();
-            synth_collision(&placed, 1.0, &mut rng).buffer
-        })
-        .collect();
-    let reg = registry(&[(1, &links[0]), (2, &links[1]), (3, &links[2])]);
+    let (reg, buffers, offs) = three_sender_set();
 
     // --- hand-driven executor path (ground-truth placements) ---
     let dec = ZigzagDecoder::new(DecoderConfig::default(), &reg);
@@ -235,11 +299,11 @@ fn three_sender_collisions_decode_through_pipeline() {
     }
     assert_eq!(core.store().len(), 0, "matched members must be consumed");
 
-    // --- legacy flow: identical events buffer-for-buffer ---
-    let mut legacy = ZigzagReceiver::new(DecoderConfig::default(), reg);
-    assert_eq!(legacy.process_legacy(&buffers[0]), ev1);
-    assert_eq!(legacy.process_legacy(&buffers[1]), ev2);
-    assert_eq!(legacy.process_legacy(&buffers[2]), ev3);
+    // --- golden digest: the same events through the one-shard front door ---
+    let unit = DecodeUnit { cfg: DecoderConfig::default(), registry: reg, buffers };
+    let (digest, events) = pipeline_digest(&[unit]);
+    assert_eq!(events, [ev1, ev2, ev3].concat(), "one shard must equal ReceiverCore::receive");
+    assert_eq!(digest, GOLDEN_THREE_SENDER, "three-sender digest {digest:#018x}");
 }
 
 /// Per-unit scratch reuse must not leak state between buffers: decoding
@@ -249,8 +313,9 @@ fn scratch_reuse_is_stateless_across_buffers() {
     let units = build_units(1, 200);
     let unit = &units[0];
     let run = |buffers: &[Vec<Complex>]| {
-        let mut rx = ZigzagReceiver::new(unit.cfg.clone(), unit.registry.clone());
-        buffers.iter().flat_map(|b| rx.process(b)).collect::<Vec<_>>()
+        let mut core = ReceiverCore::new(unit.cfg.clone(), unit.registry.clone());
+        let pipeline = Pipeline::standard();
+        buffers.iter().flat_map(|b| core.receive(&pipeline, b)).collect::<Vec<_>>()
     };
     assert_eq!(run(&unit.buffers), run(&unit.buffers));
 }

@@ -12,12 +12,17 @@ use zigzag::core::config::{
     ClientInfo, ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig,
 };
 use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::kernel::BackendKind;
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
+
+/// The single-receiver front door: one shard, decoded inline.
+fn single(cfg: DecoderConfig, registry: ClientRegistry) -> ShardedReceiver {
+    ShardedReceiver::new(cfg, ShardConfig::with_shards(1), registry)
+}
 
 fn registry(links: &[(u16, &LinkProfile)]) -> ClientRegistry {
     let mut reg = ClientRegistry::new();
@@ -85,7 +90,7 @@ fn equal_offsets_decode_only_through_recovery() {
     // Recovery disabled: the pipeline provably cannot decode — the pure-
     // shift alignment is rejected by the matcher, both buffers end up
     // stored, nothing delivers.
-    let mut base = ZigzagReceiver::new(DecoderConfig::default(), reg.clone());
+    let mut base = single(DecoderConfig::default(), reg.clone());
     let mut base_events = Vec::new();
     for b in &buffers {
         base_events.extend(base.process(b));
@@ -98,7 +103,7 @@ fn equal_offsets_decode_only_through_recovery() {
     // Recovery enabled: the second collision's confirmed-but-undecodable
     // alignment is solved jointly across both buffers; both frames must
     // come back CRC-verified through the Recovered path.
-    let mut rx = ZigzagReceiver::new(DecoderConfig::with_recovery(), reg);
+    let mut rx = single(DecoderConfig::with_recovery(), reg);
     let ev1 = rx.process(&buffers[0]);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
     let ev2 = rx.process(&buffers[1]);
@@ -325,7 +330,7 @@ fn evicted_collision_recovers_through_salvage_pool() {
         .buffer
     };
     let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
-    let mut rx = ZigzagReceiver::new(cfg, reg);
+    let mut rx = single(cfg, reg);
     let ev1 = rx.process(&buffers[0]);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
     let ev2 = rx.process(&interloper);
@@ -369,7 +374,7 @@ fn evicted_then_salvaged_set_never_double_emits() {
     let c3 = mk(300, &mut rng);
 
     let reg = registry(&[(1, &la), (2, &lb)]);
-    let mut rx = ZigzagReceiver::new(DecoderConfig::with_recovery(), reg);
+    let mut rx = single(DecoderConfig::with_recovery(), reg);
     let ev1 = rx.process(&c1);
     assert!(ev1.contains(&ReceiverEvent::CollisionStored), "{ev1:?}");
     let ev2 = rx.process(&c2);

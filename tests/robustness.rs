@@ -16,12 +16,17 @@ use zigzag::channel::fading::{LinkProfile, DEFAULT_PHASE_NOISE, DEFAULT_SAMPLING
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
-use zigzag::core::receiver::{DecodePath, ReceiverEvent, ZigzagReceiver};
+use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
 use zigzag::phy::kernel::BackendKind;
 use zigzag::phy::modulation::Modulation;
 use zigzag::phy::preamble::Preamble;
+
+/// The single-receiver front door: one shard, decoded inline.
+fn single(cfg: DecoderConfig, registry: ClientRegistry) -> ShardedReceiver {
+    ShardedReceiver::new(cfg, ShardConfig::with_shards(1), registry)
+}
 
 /// A benign link at the given oscillator offset, hardened to the
 /// typical-link impairment class: the `DEFAULT_PHASE_NOISE` random walk
@@ -293,7 +298,7 @@ fn phase_noisy_members_recruit_through_salvage_pool() {
         let (reg, buffers, frames) = equal_offset_group((&la, &lb), 120, 300, 2, seed);
         let evict = interloper((&la, &lb), 120, seed);
         let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_robust_recovery() };
-        let mut rx = ZigzagReceiver::new(cfg, reg);
+        let mut rx = single(cfg, reg);
         let ev1 = rx.process(&buffers[0]);
         assert!(ev1.contains(&ReceiverEvent::CollisionStored), "seed {seed}: {ev1:?}");
         let ev2 = rx.process(&evict);

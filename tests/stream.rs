@@ -12,8 +12,8 @@ use zigzag::channel::noise::awgn_vec;
 use zigzag::channel::scenario::hidden_pair;
 use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig, StreamConfig};
 use zigzag::core::detect::detect_packets;
-use zigzag::core::engine::ShardedReceiver;
-use zigzag::core::receiver::{ReceiverEvent, ZigzagReceiver};
+use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
+use zigzag::core::receiver::ReceiverEvent;
 use zigzag::core::stream::{carve_buffer, CarvedRegion, Segmenter};
 use zigzag::phy::complex::Complex;
 use zigzag::phy::frame::{encode_frame, Frame};
@@ -197,20 +197,32 @@ fn collision_straddling_a_window_boundary_decodes_identically() {
     assert_eq!(delivered, 2, "the straddling pair must fully resolve");
 }
 
-/// The synchronous single-core entry point must produce the same regions
-/// and events as the threaded sharded driver.
+/// The synchronous single-core reference — carve the air in one shot,
+/// then decode each region on one `ReceiverCore` with the carver's
+/// detections — must produce the same regions and events as the threaded
+/// sharded driver.
 #[test]
-fn sync_process_air_matches_threaded_stream() {
+fn inline_carved_regions_match_threaded_stream() {
     let air = build_air(&[([1, 2], [-0.13, 0.14], 420, 3)], 5000);
     let cfg = DecoderConfig::shared_ap();
     let scfg = StreamConfig::default();
-    let mut sync_rx = ZigzagReceiver::new(cfg.clone(), air.registry.clone());
-    let sync_out = sync_rx.process_air(&air.samples, &scfg);
+    let pipeline = Pipeline::standard();
+    let mut core = ReceiverCore::new(cfg.clone(), air.registry.clone());
+    let inline: Vec<(usize, usize, usize, Vec<ReceiverEvent>)> =
+        carve_buffer(&air.samples, &cfg, &air.registry, &scfg)
+            .into_iter()
+            .map(|r| {
+                let len = r.samples.len();
+                let events = core.receive_detected(&pipeline, &r.samples, r.detections);
+                (r.seq, r.start, len, events)
+            })
+            .collect();
     let mut rx =
         ShardedReceiver::new(cfg, ShardConfig { shards: 2, queue_depth: 1 }, air.registry.clone());
     let out = rx.process_stream(&scfg, |src| src.push_samples(&air.samples));
+    assert!(!inline.is_empty(), "the air must carve into regions");
     assert_eq!(
-        sync_out.iter().map(outcome_key).collect::<Vec<_>>(),
+        inline.iter().map(|(q, s, l, e)| (*q, *s, *l, &e[..])).collect::<Vec<_>>(),
         out.regions.iter().map(outcome_key).collect::<Vec<_>>(),
     );
 }

@@ -98,7 +98,7 @@ pub struct DecoderConfig {
     /// The algebraic batch-recovery subsystem
     /// ([`crate::recovery`]): joint Gaussian elimination over collision
     /// groups the chunk scheduler cannot peel. Off by default — see
-    /// [`RecoveryConfig::enabled`] and [`DecoderConfig::with_recovery`].
+    /// [`RecoveryConfig`] and [`DecoderConfig::with_recovery`].
     pub recovery: RecoveryConfig,
     /// §4.1's "collision followed by a clean retransmission" path: after
     /// a successful *single-packet* decode, re-encode the packet,
@@ -110,7 +110,9 @@ pub struct DecoderConfig {
     pub solo_reap: bool,
 }
 
-/// Knobs of the algebraic batch-recovery subsystem ([`crate::recovery`]).
+/// The algebraic batch-recovery subsystem's one setting
+/// ([`crate::recovery`]): off, the single-pass solver, or the robust
+/// preset.
 ///
 /// Recovery takes the match sets `schedule::decodable` rejects as
 /// under-determined — plus collisions evicted from the store — and solves
@@ -120,111 +122,56 @@ pub struct DecoderConfig {
 /// §4.5), at the cost of extra memory (the salvage pool) and solver time
 /// on otherwise-dead buffers.
 ///
-/// Only the knobs a preset or a sweep varies live here. The solver's
-/// fixed shape — window 32 / commit 16 symbols, ridge λ = 1e-4 of the
-/// mean observation energy, a 0.25 observation gate (`recovery.rs`), a
-/// salvage pool of 4 collisions per client-set key and groups of at most
-/// 4 collisions (`engine/stage.rs`) — is documented constants beside
-/// their readers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryConfig {
-    /// Master switch. `false` (the default) keeps the receiver
-    /// bit-identical to the pre-recovery pipeline: rejected alignments
-    /// and evictions are dropped exactly as before.
-    pub enabled: bool,
-    /// Extra turbo re-estimation passes after a CRC-failed first solve:
-    /// the solver re-derives every [`ChannelView`](crate::view::ChannelView)
-    /// from its own interference-cancelled buffer (the first pass's
-    /// decision images subtracted) and solves again — the SIC/turbo
-    /// iteration of arXiv:1401.7374. `0` (the default) keeps the
-    /// single-pass PR 5 solver; iteration stops early once every packet's
-    /// CRC passes or the decisions stop changing between passes.
-    pub turbo_iters: usize,
-    /// Proportional gain of the solver's per-window PI phase tracker.
-    /// `0.0` (the default) keeps the executor-style one-shot feedback
-    /// (full `δφ` applied per committed chunk); a positive gain switches
-    /// the joint solver to a damped PI loop with per-(collision × packet)
-    /// integrator state, which rides out phase-noise walks on impaired
-    /// links instead of letting one noisy window jolt the phase model.
-    pub window_pll_kp: f64,
-    /// Integral gain of the solver's per-window PI phase tracker
-    /// (absorbs residual frequency offset). Only read when
-    /// [`window_pll_kp`](Self::window_pll_kp) is positive.
-    pub window_pll_ki: f64,
-    /// Conditioning floor for salvage-pool member admission: a candidate
-    /// is recruited only while the group's channel-proxy Gram matrix
-    /// (detection correlations × placement shifts) keeps at least this
-    /// normalised determinant
-    /// ([`gram_conditioning`](zigzag_phy::linalg::gram_conditioning),
-    /// `1.0` = orthogonal equations, `0.0` = collinear). `0.0` (the
-    /// default) admits every confirmed candidate, as PR 5 did.
-    pub min_conditioning: f64,
-    /// Scale the per-window ridge `λ` from the window's *measured*
-    /// observation-energy spread instead of the flat `mean_diag` factor:
-    /// ill-conditioned windows (weakly-observed look-ahead columns) get a
-    /// proportionally stronger ridge. `false` (the default) keeps PR 5's
-    /// global factor bit-for-bit.
-    pub adaptive_lambda: bool,
-    /// Groups per lockstep chunk in the batched
-    /// [`solve_groups`](crate::recovery::solve_groups) entry point: each
-    /// chunk drives its groups' sliding windows in rounds and dispatches
-    /// every round's per-window least-squares systems as **one**
-    /// [`lstsq_batch`](zigzag_phy::linalg::lstsq_batch) pack. The batch
-    /// solver is bit-identical per system to the per-system reference, so
-    /// this knob changes throughput only, never decisions. `0` disables
-    /// batching — every group runs the independent
-    /// [`solve_group`](crate::recovery::solve_group) reference path.
-    pub batch_chunk: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            turbo_iters: 0,
-            window_pll_kp: 0.0,
-            window_pll_ki: 0.0,
-            min_conditioning: 0.0,
-            adaptive_lambda: false,
-            batch_chunk: 8,
-        }
-    }
+/// Everything else is a documented constant beside its reader: the
+/// solver's shape — window 32 / commit 16 symbols, ridge λ = 1e-4 of the
+/// mean observation energy, a 0.25 observation gate — and the robust
+/// preset's turbo pass count, window-PLL gains and adaptive ridge
+/// (`recovery.rs`); the salvage pool of 4 collisions per client-set key,
+/// groups of at most 4 collisions and the robust conditioning floor
+/// (`engine/stage.rs`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RecoveryConfig {
+    /// No recovery (the default): the receiver is bit-identical to the
+    /// pre-recovery pipeline — rejected alignments and evictions are
+    /// dropped.
+    #[default]
+    Off,
+    /// The single-pass joint solver: one solve per group, executor-style
+    /// one-shot phase feedback, a flat ridge, and every confirmed
+    /// salvage-pool candidate admitted.
+    SinglePass,
+    /// The typical-link robustness preset: the single-pass solver plus
+    /// the machinery that survives impaired channels — per-window PI
+    /// phase tracking (rides phase-noise walks), turbo re-estimation
+    /// (reclaims CRC-failed first solves from their own cancelled
+    /// buffers, the SIC iteration of arXiv:1401.7374),
+    /// conditioning-gated member selection, and a conditioning-scaled
+    /// ridge. On benign links it delivers the same frames as
+    /// [`RecoveryConfig::SinglePass`]; on `LinkProfile::typical`-class
+    /// links it reclaims strictly more (the bench's tracked robustness
+    /// curve).
+    Robust,
 }
 
 impl RecoveryConfig {
-    /// The default knobs with the subsystem switched on — bit-identical
-    /// to the PR 5 single-pass solver (no turbo, one-shot feedback).
+    /// The single-pass solver, [`RecoveryConfig::SinglePass`].
     pub fn on() -> Self {
-        Self { enabled: true, ..Self::default() }
+        Self::SinglePass
     }
 
-    /// The typical-link robustness preset: recovery on, plus the
-    /// machinery that survives impaired channels — per-window PI phase
-    /// tracking (rides phase-noise walks), turbo re-estimation (reclaims
-    /// CRC-failed first solves from their own cancelled buffers),
-    /// conditioning-gated member selection, and a conditioning-scaled
-    /// ridge. On benign links this delivers the same frames as
-    /// [`RecoveryConfig::on`]; on `LinkProfile::typical`-class links it
-    /// reclaims strictly more (the bench's tracked robustness curve).
-    ///
-    /// The PLL gains come from the `pll_gain_sweep` example (kp ∈
-    /// [0.05, 1.6] × ki ∈ [0, 0.4] over four impairment classes up to
-    /// 3× the typical phase-noise/drift): reclaim peaks at 21/144 on a
-    /// plateau containing kp 0.65 with ki ≤ 0.08, collapses below
-    /// kp ≈ 0.1 (loop can't follow the walk) and above kp ≈ 1.6 or
-    /// ki ≈ 0.4 (noise amplification). kp = 0.65, ki = 0.02 is the
-    /// plateau centre — the neighborhood most tolerant of the gains
-    /// being slightly wrong for a deployment's actual oscillator.
+    /// The robust preset, [`RecoveryConfig::Robust`].
     pub fn robust() -> Self {
-        Self {
-            enabled: true,
-            turbo_iters: 2,
-            window_pll_kp: 0.65,
-            window_pll_ki: 0.02,
-            min_conditioning: 0.02,
-            adaptive_lambda: true,
-            ..Self::default()
-        }
+        Self::Robust
+    }
+
+    /// `true` unless recovery is [`RecoveryConfig::Off`].
+    pub(crate) fn is_enabled(self) -> bool {
+        self != Self::Off
+    }
+
+    /// `true` for the [`RecoveryConfig::Robust`] preset.
+    pub(crate) fn is_robust(self) -> bool {
+        self == Self::Robust
     }
 }
 
@@ -286,7 +233,7 @@ impl DecoderConfig {
     }
 
     /// [`DecoderConfig::with_recovery`] hardened for typical (impaired)
-    /// links: the [`RecoveryConfig::robust`] preset — window PLL, turbo
+    /// links: the [`RecoveryConfig::Robust`] preset — window PLL, turbo
     /// re-estimation, conditioning-aware recruitment.
     pub fn with_robust_recovery() -> Self {
         Self { recovery: RecoveryConfig::robust(), ..Self::default() }
@@ -559,21 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn recovery_presets_layer_cleanly() {
-        let on = RecoveryConfig::on();
-        assert!(on.enabled);
-        // `on()` must stay the PR 5 single-pass solver bit-for-bit: every
-        // robustness knob off.
-        assert_eq!(on.turbo_iters, 0);
-        assert_eq!(on.window_pll_kp, 0.0);
-        assert_eq!(on.min_conditioning, 0.0);
-        assert!(!on.adaptive_lambda);
-        assert_eq!(on, RecoveryConfig { enabled: true, ..RecoveryConfig::default() });
-
-        let robust = RecoveryConfig::robust();
-        assert!(robust.enabled && robust.turbo_iters > 0 && robust.window_pll_kp > 0.0);
-        assert!(robust.adaptive_lambda && robust.min_conditioning > 0.0);
-        assert_eq!(DecoderConfig::with_robust_recovery().recovery, robust);
+    fn recovery_presets_map_to_the_setting() {
+        assert_eq!(DecoderConfig::default().recovery, RecoveryConfig::Off);
+        assert_eq!(DecoderConfig::with_recovery().recovery, RecoveryConfig::SinglePass);
+        assert_eq!(DecoderConfig::with_robust_recovery().recovery, RecoveryConfig::Robust);
     }
 
     #[test]

@@ -38,6 +38,16 @@ const SALVAGE_POOL_PER_KEY: usize = 4;
 /// extra buffer adds equations — and solver rows).
 const MAX_GROUP_COLLISIONS: usize = 4;
 
+/// The robust preset's conditioning floor for salvage-pool member
+/// admission: a candidate is recruited only while the group's
+/// channel-proxy Gram matrix (detection correlations × placement shifts)
+/// keeps at least this normalised determinant
+/// ([`gram_conditioning`](zigzag_phy::linalg::gram_conditioning), `1.0` =
+/// orthogonal equations, `0.0` = collinear). Proportional channels score
+/// below 1e-3 and diverse members well above the floor (`recovery.rs`
+/// unit tests). The single-pass solver admits every confirmed candidate.
+pub(crate) const ROBUST_MIN_CONDITIONING: f64 = 0.02;
+
 /// The receiver's long-lived state, shared by every stage: configuration,
 /// a read-mostly handle to the association registry (shard-shareable, see
 /// [`SharedRegistry`]), the shard-*owned* indexed unmatched-collision
@@ -85,7 +95,7 @@ impl ReceiverCore {
         // With recovery on, store evictions are retained and absorbed
         // into the salvage pool (see `StoreStage`) instead of
         // dropped — the eviction path becomes signal.
-        let pool_cap = if cfg.recovery.enabled { SALVAGE_POOL_PER_KEY } else { 0 };
+        let pool_cap = if cfg.recovery.is_enabled() { SALVAGE_POOL_PER_KEY } else { 0 };
         store.set_evicted_capacity(pool_cap);
         Self {
             cfg,
@@ -616,7 +626,7 @@ impl DecodeStage for MatchStage {
         // signal work entirely.
         let ReceiverCore { cfg, registry, preamble, store, scratch, .. } = rx;
         let search = cfg.match_search;
-        let outcome = if cfg.recovery.enabled {
+        let outcome = if cfg.recovery.is_enabled() {
             classify_match_with(
                 search,
                 scratch,
@@ -797,7 +807,7 @@ impl DecodeStage for RecoverStage {
         unit: &mut UnitCtx<'_>,
         events: &mut Vec<ReceiverEvent>,
     ) -> Flow {
-        if !rx.cfg.recovery.enabled || unit.detections.len() < 2 {
+        if !rx.cfg.recovery.is_enabled() || unit.detections.len() < 2 {
             return Flow::Continue;
         }
         // Path (a): the matcher confirmed an alignment whose system
@@ -819,6 +829,8 @@ impl DecodeStage for RecoverStage {
         // combine with the current buffer's into a solvable system.
         let key = collision_key(&unit.detections, rx.store.key_window());
         let max_members = MAX_GROUP_COLLISIONS - 1;
+        let min_conditioning =
+            if rx.cfg.recovery.is_robust() { ROBUST_MIN_CONDITIONING } else { 0.0 };
         if let Some((group, used)) = group_from_pool(
             &mut rx.scratch,
             unit.buffer,
@@ -826,7 +838,7 @@ impl DecodeStage for RecoverStage {
             &key,
             &rx.salvage,
             max_members,
-            rx.cfg.recovery.min_conditioning,
+            min_conditioning,
         ) {
             if Self::solve_and_deliver(rx, &group, events) {
                 rx.salvage.consume(&key, &used);

@@ -492,15 +492,15 @@ const FOOTPRINT_STEP: f64 = 0.25;
 /// floor (max over 3 integer τ of a 256-sample uncorrelated product)
 /// sits near 0.07.
 ///
-/// Empirical margin (the `pre_t_sweep` example, 400-seed clean
-/// k ∈ {2, 3} corpus mirroring the staged-vs-exhaustive proptest,
-/// 16 238 candidate pairs): the weakest pair either exact stage accepts
-/// scores 0.448·threshold at the prefilter — marginal matches just above
-/// the threshold at worst-case Δµ dip below the analytic 0.64 bound —
-/// so *pair-level* identity only holds up to a 0.44 factor. *Match-set*
-/// identity is looser (a cut pair must also flip the final outcome): the
-/// sweep's outcome-level leg, which re-runs staged-vs-exhaustive
-/// `find_match_set` per factor via the `ZIGZAG_PRE_T` override, stays
+/// Empirical margin (the `pre_t_sweep` example, last present at commit
+/// `3f3a1b6`; 400-seed clean k ∈ {2, 3} corpus mirroring the
+/// staged-vs-exhaustive proptest, 16 238 candidate pairs): the weakest
+/// pair either exact stage accepts scores 0.448·threshold at the
+/// prefilter — marginal matches just above the threshold at worst-case
+/// Δµ dip below the analytic 0.64 bound — so *pair-level* identity only
+/// holds up to a 0.44 factor. *Match-set* identity is looser (a cut pair
+/// must also flip the final outcome): the sweep's outcome-level leg,
+/// which re-ran staged-vs-exhaustive `find_match_set` per factor, stays
 /// divergence-free through 0.75 and first diverges at 0.80 (2 of 800
 /// workloads). 0.70 is the chosen margin — one sweep step below the
 /// tightest zero-divergence factor, against corpus overfit — and cuts
@@ -508,24 +508,8 @@ const FOOTPRINT_STEP: f64 = 0.25;
 /// from 49% at the previous analytically-derived 0.55.
 const PRE_T_FACTOR: f64 = 0.70;
 
-/// The prefilter bar the staged funnel compares against, normally
-/// `PRE_T_FACTOR · MATCH_THRESHOLD`. The `ZIGZAG_PRE_T` environment
-/// variable (a factor, read once per process) overrides it — a
-/// development knob for the `pre_t_sweep` example's outcome-identity
-/// leg, not a production switch.
-fn pre_t() -> f64 {
-    use std::sync::OnceLock;
-    static BAR: OnceLock<f64> = OnceLock::new();
-    *BAR.get_or_init(|| {
-        let factor = match std::env::var("ZIGZAG_PRE_T") {
-            Err(_) => PRE_T_FACTOR,
-            Ok(v) => v
-                .parse::<f64>()
-                .unwrap_or_else(|_| panic!("ZIGZAG_PRE_T must be a number, got {v:?}")),
-        };
-        factor * MATCH_THRESHOLD
-    })
-}
+/// The prefilter bar the staged funnel compares against.
+const PRE_T: f64 = PRE_T_FACTOR * MATCH_THRESHOLD;
 
 /// The §4.2.2 match metric of the current buffer's span at `p` against
 /// the stored buffer's span at `q`, evaluated through the stored side's
@@ -585,8 +569,7 @@ fn confirm_pair(
 ) -> bool {
     match search {
         MatchSearch::Staged => {
-            let bar = pre_t();
-            if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 1.0, Some(bar)) <= bar {
+            if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 1.0, Some(PRE_T)) <= PRE_T {
                 return false;
             }
             entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW, 0.25, Some(MATCH_THRESHOLD))
@@ -615,8 +598,7 @@ fn coarse_metric(
 ) -> f64 {
     match search {
         MatchSearch::Staged => {
-            let bar = pre_t();
-            if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 1.0, Some(bar)) <= bar {
+            if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 1.0, Some(PRE_T)) <= PRE_T {
                 return 0.0;
             }
             entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 0.5, Some(MATCH_THRESHOLD))
@@ -942,8 +924,7 @@ fn anchor_for_shift(
         // search stacks the cheaper integer-τ stage in front and bails
         // the survivors' metrics at their respective decision bars.
         if search == MatchSearch::Staged {
-            let bar = pre_t();
-            if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 1.0, Some(bar)) <= bar {
+            if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 1.0, Some(PRE_T)) <= PRE_T {
                 continue;
             }
             if entry_metric(ws, buffer, p, entry, q, MATCH_WINDOW / 2, 0.5, Some(pre)) <= pre {

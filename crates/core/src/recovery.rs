@@ -54,9 +54,7 @@
 //! The pipeline hosts this as
 //! [`RecoverStage`](crate::engine::stage::RecoverStage) (after the
 //! ZigZag stage, shard-local so the sharded receiver stays
-//! bit-deterministic); [`solve_groups`] batches independent groups
-//! across a [`BatchEngine`](crate::engine::BatchEngine) for the bench
-//! and testbed drivers.
+//! bit-deterministic), which calls [`solve_group`] once per group.
 
 use crate::config::{ClientRegistry, DecoderConfig};
 use crate::detect::Detection;
@@ -70,7 +68,7 @@ use std::collections::{HashMap, VecDeque};
 use zigzag_phy::bits::bits_to_bytes;
 use zigzag_phy::complex::{Complex, ZERO};
 use zigzag_phy::frame::{decode_mpdu, Frame, PlcpHeader, PLCP_SYMBOLS};
-use zigzag_phy::linalg::{gram_conditioning, lstsq_batch, lstsq_cond, LstsqSystem};
+use zigzag_phy::linalg::{gram_conditioning, lstsq_cond};
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
@@ -462,12 +460,13 @@ pub fn group_from_pool(
 /// subtraction with tracking feedback, PLCP learning, CRC gate. See the
 /// module docs for the algorithm.
 ///
-/// With [`RecoveryConfig::turbo_iters`](crate::config::RecoveryConfig)
-/// set, a CRC-failed first pass is followed by turbo re-estimation
-/// passes (the SIC iteration of arXiv:1401.7374): every [`ChannelView`]
-/// is re-derived from its own interference-cancelled buffer — the first
-/// pass's decision images of *other* packets subtracted expose each
-/// packet's preamble nearly clean — and the group is solved again.
+/// Under [`RecoveryConfig::Robust`](crate::config::RecoveryConfig), a
+/// CRC-failed first pass is followed by up to `TURBO_PASSES` turbo
+/// re-estimation passes (the SIC iteration of arXiv:1401.7374): every
+/// [`ChannelView`] is re-derived from its own interference-cancelled
+/// buffer — the first pass's decision images of *other* packets
+/// subtracted expose each packet's preamble nearly clean — and the group
+/// is solved again.
 /// Iteration stops at the cap, when every CRC passes, or when the
 /// decisions stop changing (converged — another pass would repeat it).
 /// Per packet, the first CRC-valid frame across passes wins; a later
@@ -492,11 +491,11 @@ pub fn solve_group(
             .collect();
     };
     let mut best = solver.run(ws);
-    if cfg.recovery.turbo_iters == 0 || best.iter().all(|p| p.frame.is_some()) {
+    if !cfg.recovery.is_robust() || best.iter().all(|p| p.frame.is_some()) {
         return best;
     }
     let mut prev_decided = solver.decided.clone();
-    for _pass in 0..cfg.recovery.turbo_iters {
+    for _pass in 0..TURBO_PASSES {
         let Some(mut next) = solver.turbo_restart() else {
             break;
         };
@@ -513,227 +512,6 @@ pub fn solve_group(
         prev_decided = solver.decided.clone();
     }
     best
-}
-
-/// Solves many independent groups across a
-/// [`BatchEngine`](crate::engine::BatchEngine): the batched entry point
-/// the bench's `recovery` workload and offline reprocessing drivers use.
-/// Results are in group order and thread-count invariant (each group's
-/// solve is self-contained; workers only share the read-only registry).
-///
-/// Groups are partitioned into deterministic chunks of
-/// [`RecoveryConfig::batch_chunk`](crate::config::RecoveryConfig) and
-/// each chunk drives its groups' sliding-window solves in **lockstep
-/// rounds**: every round gathers the next per-window least-squares
-/// system of each still-active group (turbo re-estimation passes
-/// included) and dispatches them as one [`lstsq_batch`] pack. The batch
-/// solver returns per system exactly what [`lstsq_cond`] would — bit for
-/// bit — and each group's window sequencing, CRC gate and commit
-/// ordering are untouched, so results are bit-identical to running
-/// [`solve_group`] per group (which `batch_chunk = 0` does literally).
-pub fn solve_groups(
-    engine: &crate::engine::BatchEngine,
-    groups: &[RecoveryGroup],
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-    cfg: &DecoderConfig,
-) -> Vec<Vec<RecoveredPacket>> {
-    let chunk = cfg.recovery.batch_chunk;
-    if chunk == 0 {
-        return engine.map_with(
-            groups,
-            || Scratch::with_backend(cfg.backend),
-            |ws, _, g| solve_group(g, registry, preamble, cfg, ws),
-        );
-    }
-    let chunks: Vec<&[RecoveryGroup]> = groups.chunks(chunk).collect();
-    let per_chunk = engine.map_with(
-        &chunks,
-        || Scratch::with_backend(cfg.backend),
-        |ws, _, c| solve_group_chunk(c, registry, preamble, cfg, ws),
-    );
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// Solves one chunk of groups in lockstep rounds, one [`lstsq_batch`]
-/// dispatch per round.
-fn solve_group_chunk(
-    chunk: &[RecoveryGroup],
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-    cfg: &DecoderConfig,
-    ws: &mut Scratch,
-) -> Vec<Vec<RecoveredPacket>> {
-    let mut tasks: Vec<GroupTask> =
-        chunk.iter().map(|g| GroupTask::new(g, registry, preamble, cfg, ws)).collect();
-    loop {
-        // Gather each active group's next window system. A group whose
-        // current pass ends mid-round runs its turbo merge/restart logic
-        // inside `pump` and either contributes the new pass's first
-        // window or retires — no round ever waits on a finished group.
-        let mut round: Vec<(usize, WindowSystem)> = Vec::new();
-        for (i, task) in tasks.iter_mut().enumerate() {
-            if let Some(sys) = task.pump(ws) {
-                round.push((i, sys));
-            }
-        }
-        if round.is_empty() {
-            break;
-        }
-        let systems: Vec<LstsqSystem> = round
-            .iter()
-            .map(|(_, sys)| LstsqSystem { rows: &sys.rows, b: &sys.b, lambda: sys.lambda })
-            .collect();
-        let solutions = lstsq_batch(&systems);
-        for ((i, sys), sol) in round.into_iter().zip(solutions) {
-            tasks[i].supply(&sys, sol, ws);
-        }
-    }
-    tasks.into_iter().map(GroupTask::into_result).collect()
-}
-
-/// One group's progress through the lockstep-batched [`solve_groups`]
-/// loop: a resumable [`solve_group`] whose least-squares solves are
-/// performed externally. The first-pass / turbo-pass sequencing, the
-/// first-CRC-valid-wins merge, and every stop condition replicate
-/// [`solve_group`] exactly.
-struct GroupTask<'a> {
-    cfg: &'a DecoderConfig,
-    /// The active pass's solver; `None` once the task is done (or the
-    /// group had no solvable shape).
-    solver: Option<Solver<'a>>,
-    /// Best result so far across passes (per packet, first CRC-valid
-    /// frame wins).
-    best: Vec<RecoveredPacket>,
-    /// `decided` table of the pass before the active one — the turbo
-    /// convergence test.
-    prev_decided: Vec<Vec<Option<Complex>>>,
-    /// Completed turbo passes (the first pass not counted).
-    passes_done: usize,
-    first_pass: bool,
-    /// The active pass hit a stall; finish it at the next `pump`.
-    stalled: bool,
-    done: bool,
-}
-
-impl<'a> GroupTask<'a> {
-    fn new(
-        group: &'a RecoveryGroup,
-        registry: &ClientRegistry,
-        preamble: &'a Preamble,
-        cfg: &'a DecoderConfig,
-        ws: &mut Scratch,
-    ) -> GroupTask<'a> {
-        match Solver::new(group, registry, preamble, cfg) {
-            None => GroupTask {
-                cfg,
-                solver: None,
-                best: group
-                    .clients
-                    .iter()
-                    .map(|&client| RecoveredPacket {
-                        client,
-                        frame: None,
-                        scrambled_bits: Vec::new(),
-                        complete: false,
-                    })
-                    .collect(),
-                prev_decided: Vec::new(),
-                passes_done: 0,
-                first_pass: true,
-                stalled: false,
-                done: true,
-            },
-            Some(mut solver) => {
-                solver.begin_run(ws);
-                GroupTask {
-                    cfg,
-                    solver: Some(solver),
-                    best: Vec::new(),
-                    prev_decided: Vec::new(),
-                    passes_done: 0,
-                    first_pass: true,
-                    stalled: false,
-                    done: false,
-                }
-            }
-        }
-    }
-
-    /// Advances the task until it either yields the next window system
-    /// to solve or completes. Uncovered-symbol skips and pass
-    /// transitions (finalize, merge, turbo restart) happen inline.
-    fn pump(&mut self, ws: &mut Scratch) -> Option<WindowSystem> {
-        while !self.done {
-            let solver = self.solver.as_mut().expect("active GroupTask has a solver");
-            if !self.stalled && !solver.run_done() {
-                match solver.prepare_window(ws) {
-                    WindowPrep::Advanced => continue,
-                    WindowPrep::Stalled => {
-                        self.stalled = true;
-                        continue;
-                    }
-                    WindowPrep::System(sys) => return Some(sys),
-                }
-            }
-            self.complete_pass(ws);
-        }
-        None
-    }
-
-    /// Feeds the batch solution of the system the last `pump` yielded.
-    fn supply(&mut self, sys: &WindowSystem, sol: Option<(Vec<Complex>, f64)>, ws: &mut Scratch) {
-        let solver = self.solver.as_mut().expect("supply on a finished GroupTask");
-        if !solver.apply_window(sys, sol, ws) {
-            self.stalled = true;
-        }
-    }
-
-    /// The end of one pass: [`solve_group`]'s inter-pass logic verbatim
-    /// — finalize, merge (first CRC-valid frame per packet wins), stop on
-    /// all-delivered / converged / pass cap, else turbo restart.
-    fn complete_pass(&mut self, ws: &mut Scratch) {
-        self.stalled = false;
-        let solver = self.solver.as_ref().expect("complete_pass on a finished GroupTask");
-        let result = solver.finalize_all();
-        let turbo = self.cfg.recovery.turbo_iters;
-        if self.first_pass {
-            self.first_pass = false;
-            self.best = result;
-            if turbo == 0 || self.best.iter().all(|p| p.frame.is_some()) {
-                self.done = true;
-                return;
-            }
-        } else {
-            for (b, r) in self.best.iter_mut().zip(result) {
-                if b.frame.is_none() && r.frame.is_some() {
-                    *b = r;
-                }
-            }
-            self.passes_done += 1;
-            if self.best.iter().all(|p| p.frame.is_some()) || solver.decided == self.prev_decided {
-                self.done = true;
-                return;
-            }
-        }
-        self.prev_decided = solver.decided.clone();
-        if self.passes_done >= turbo {
-            self.done = true;
-            return;
-        }
-        match solver.turbo_restart() {
-            None => self.done = true,
-            Some(mut next) => {
-                next.begin_run(ws);
-                self.solver = Some(next);
-            }
-        }
-    }
-
-    fn into_result(self) -> Vec<RecoveredPacket> {
-        debug_assert!(self.done, "into_result on an unfinished GroupTask");
-        self.best
-    }
 }
 
 /// The per-group solver state.
@@ -757,8 +535,8 @@ struct Solver<'a> {
     /// `residual[c] = buffer[c] − Σ_q acc[c][q]`.
     img_acc: Vec<Vec<Vec<Complex>>>,
     /// Per-(collision × packet) PI phase-tracker state for the windowed
-    /// feedback ([`ChannelView::feedback_windowed`]); only driven when
-    /// `cfg.recovery.window_pll_kp > 0`.
+    /// feedback ([`ChannelView::feedback_windowed`]); only driven under
+    /// the robust preset.
     pll: Vec<Vec<WindowPll>>,
     debug: bool,
 }
@@ -787,44 +565,34 @@ const RIDGE_LAMBDA: f64 = 1e-4;
 /// slide instead of committing garbage.
 const MIN_OBSERVATION: f64 = 0.25;
 
-/// Outcome of [`Solver::prepare_window`].
-enum WindowPrep {
-    /// The window assembled a least-squares system; solve it and feed the
-    /// result to [`Solver::apply_window`].
-    System(WindowSystem),
-    /// No system this step, but uncovered symbols were skipped and the
-    /// frontier moved — call `prepare_window` again.
-    Advanced,
-    /// Nothing could advance: the pass is over.
-    Stalled,
-}
+/// Turbo re-estimation passes the robust preset runs after a CRC-failed
+/// first solve. Iteration also stops early once every packet's CRC
+/// passes or the decisions stop changing between passes, so the cap only
+/// binds on groups still improving.
+const TURBO_PASSES: usize = 2;
 
-impl WindowPrep {
-    /// Maps [`Solver::force_skip_uncovered`]'s return (`true` = frontier
-    /// moved) onto the prep outcome.
-    fn from_skip(skipped: bool) -> WindowPrep {
-        if skipped {
-            WindowPrep::Advanced
-        } else {
-            WindowPrep::Stalled
-        }
-    }
-}
+/// Proportional gain of the robust preset's per-window PI phase tracker
+/// ([`ChannelView::feedback_windowed`]): a damped loop with
+/// per-(collision × packet) integrator state, which rides out
+/// phase-noise walks on impaired links instead of letting one noisy
+/// window jolt the phase model (the single-pass solver applies the full
+/// `δφ` per committed chunk instead).
+///
+/// The gains come from a sweep of kp ∈ [0.05, 1.6] × ki ∈ [0, 0.4] over
+/// the impairment sweep's four classes, up to 3× the typical phase
+/// noise and drift (`examples/pll_gain_sweep.rs`, last present at commit
+/// `3f3a1b6`). Reclaim peaks at 21/144 on a plateau containing kp 0.65
+/// with ki ≤ 0.08. It collapses below kp ≈ 0.1, where the loop cannot
+/// follow the walk, and above kp ≈ 1.6 or ki ≈ 0.4, where it amplifies
+/// noise. kp = 0.65, ki = 0.02 is the plateau centre: the neighbourhood
+/// most tolerant of the gains being slightly wrong for a deployment's
+/// actual oscillator.
+const WINDOW_PLL_KP: f64 = 0.65;
 
-/// One sliding window's assembled regularised least-squares system plus
-/// everything [`Solver::apply_window`] needs to gate and commit its
-/// solution. Column `col_of[(packet, symbol)]` holds that unknown symbol;
-/// `diag[j]` is column `j`'s observation energy (the normal-matrix
-/// diagonal), which gates commits against `MIN_OBSERVATION * diag_max`.
-struct WindowSystem {
-    rows: Vec<Vec<Complex>>,
-    b: Vec<Complex>,
-    lambda: f64,
-    diag: Vec<f64>,
-    diag_max: f64,
-    col_of: HashMap<(usize, usize), usize>,
-    commit: usize,
-}
+/// Integral gain of the robust preset's per-window PI phase tracker
+/// (absorbs residual frequency offset); see [`WINDOW_PLL_KP`] for the
+/// sweep it was picked from.
+const WINDOW_PLL_KI: f64 = 0.02;
 
 impl<'a> Solver<'a> {
     /// Estimates views and seeds the known preambles. Returns `None` when
@@ -999,59 +767,31 @@ impl<'a> Solver<'a> {
         taps + 10
     }
 
-    /// Runs the sliding-window joint solve to completion or stall,
-    /// solving each window's system inline with the per-system reference
-    /// solver. The batched [`solve_groups`] path drives the same
-    /// [`Solver::prepare_window`] / [`Solver::apply_window`] seam through
-    /// [`GroupTask`], swapping only the solve dispatch.
+    /// Runs the sliding-window joint solve to completion or stall: the
+    /// known preambles are subtracted from every buffer, then window steps
+    /// run until every packet's frontier reaches its length or nothing can
+    /// advance, and every packet is finalized.
     fn run(&mut self, ws: &mut Scratch) -> Vec<RecoveredPacket> {
-        self.begin_run(ws);
-        loop {
-            if self.run_done() {
-                break;
-            }
-            match self.prepare_window(ws) {
-                WindowPrep::Advanced => continue,
-                WindowPrep::Stalled => break,
-                WindowPrep::System(sys) => {
-                    let sol = lstsq_cond(&sys.rows, &sys.b, sys.lambda);
-                    if !self.apply_window(&sys, sol, ws) {
-                        break;
-                    }
-                }
-            }
-        }
-        self.finalize_all()
-    }
-
-    /// Start-of-pass bookkeeping: subtracts the known preambles from
-    /// every buffer.
-    fn begin_run(&mut self, ws: &mut Scratch) {
-        for q in 0..self.group.packets() {
+        let k = self.group.packets();
+        for q in 0..k {
             let range = 0..self.preamble.len().min(self.lens[q]);
             self.subtract_packet(q, range, ws);
         }
+        while (0..k).any(|q| self.frontier[q] < self.lens[q]) {
+            if !self.step(ws) {
+                break;
+            }
+        }
+        (0..k).map(|q| self.finalize(q)).collect()
     }
 
-    /// `true` once every packet's frontier has reached its length — the
-    /// pass has nothing left to solve.
-    fn run_done(&self) -> bool {
-        (0..self.group.packets()).all(|q| self.frontier[q] >= self.lens[q])
-    }
-
-    /// Finalizes every packet of the group (slice to bits, CRC gate).
-    fn finalize_all(&self) -> Vec<RecoveredPacket> {
-        (0..self.group.packets()).map(|q| self.finalize(q)).collect()
-    }
-
-    /// One window step: assemble this window's equations. Either yields
-    /// the regularised least-squares system to solve (the caller solves
-    /// it — inline via [`lstsq_cond`] or packed with other groups' via
-    /// [`lstsq_batch`] — and feeds it back through
-    /// [`Solver::apply_window`]), or reports that the frontier advanced
-    /// without a system (uncovered symbols skipped), or that the solve
-    /// has genuinely stalled.
-    fn prepare_window(&mut self, ws: &mut Scratch) -> WindowPrep {
+    /// One window step: assemble this window's equations, solve them by
+    /// regularised least squares ([`lstsq_cond`]), and commit the
+    /// well-observed symbols contiguously from each packet's frontier.
+    /// When no system can be formed or solved, or nothing is committed,
+    /// uncovered symbols are skipped instead. Returns `false` when nothing
+    /// advanced — the solve has genuinely stalled.
+    fn step(&mut self, ws: &mut Scratch) -> bool {
         let k = self.group.packets();
         let m = self.group.collisions();
         let window = SOLVE_WINDOW;
@@ -1069,7 +809,7 @@ impl<'a> Solver<'a> {
             }
         }
         if cols.is_empty() {
-            return WindowPrep::Stalled;
+            return false;
         }
 
         // per-collision equation windows: a position is usable once every
@@ -1104,7 +844,7 @@ impl<'a> Solver<'a> {
         }
         let n_rows: usize = spans.iter().map(|s| s.len()).sum();
         if n_rows == 0 {
-            return WindowPrep::from_skip(self.force_skip_uncovered(commit));
+            return self.force_skip_uncovered(commit);
         }
 
         // assemble A and b: coefficient columns are unit-impulse images
@@ -1148,47 +888,30 @@ impl<'a> Solver<'a> {
             (0..cols.len()).map(|j| rows.iter().map(|r| r[j].norm_sq()).sum::<f64>()).collect();
         let diag_max = diag.iter().fold(0.0f64, |a, &b| a.max(b));
         if diag_max <= 0.0 {
-            return WindowPrep::from_skip(self.force_skip_uncovered(commit));
+            return self.force_skip_uncovered(commit);
         }
         let mean_diag = diag.iter().sum::<f64>() / diag.len() as f64;
-        let lambda = if self.cfg.recovery.adaptive_lambda {
-            // size the ridge from the window's *measured* observation
-            // spread: weakly-observed look-ahead columns (small diagonal)
-            // are exactly what drags the normal matrix toward singular,
-            // so the ridge grows with the max/min energy ratio instead of
-            // staying a flat fraction of the mean
+        let mut lambda = RIDGE_LAMBDA * mean_diag.max(1e-12);
+        if self.cfg.recovery.is_robust() {
+            // the robust preset's adaptive ridge: size it from the
+            // window's *measured* observation spread — weakly-observed
+            // look-ahead columns (small diagonal) are exactly what drags
+            // the normal matrix toward singular, so the ridge grows with
+            // the max/min energy ratio instead of staying a flat fraction
+            // of the mean
             let diag_min = diag.iter().copied().filter(|&d| d > 0.0).fold(f64::INFINITY, f64::min);
             let spread =
                 if diag_min.is_finite() { (diag_max / diag_min).sqrt().min(1e3) } else { 1.0 };
-            RIDGE_LAMBDA * mean_diag.max(1e-12) * spread
-        } else {
-            RIDGE_LAMBDA * mean_diag.max(1e-12)
-        };
-        WindowPrep::System(WindowSystem { rows, b, lambda, diag, diag_max, col_of, commit })
-    }
+            lambda *= spread;
+        }
 
-    /// Second half of a window step: consume the solution of the system
-    /// `prepare_window` assembled (solved either inline by [`Solver::run`]
-    /// or as one lane of an `lstsq_batch` dispatch) and run the commit
-    /// loop. Returns `false` when the solver genuinely stalled.
-    fn apply_window(
-        &mut self,
-        sys: &WindowSystem,
-        sol: Option<(Vec<Complex>, f64)>,
-        ws: &mut Scratch,
-    ) -> bool {
-        let commit = sys.commit;
-        let Some((x, cond)) = sol else {
+        let Some((x, cond)) = lstsq_cond(&rows, &b, lambda) else {
             return self.force_skip_uncovered(commit);
         };
         if self.debug {
-            eprintln!(
-                "recover: window conditioning {cond:.3e}, lambda {lambda:.3e}",
-                lambda = sys.lambda
-            );
+            eprintln!("recover: window conditioning {cond:.3e}, lambda {lambda:.3e}");
         }
-        let threshold = MIN_OBSERVATION * sys.diag_max;
-        let k = self.group.packets();
+        let threshold = MIN_OBSERVATION * diag_max;
 
         // commit contiguously from each packet's frontier
         let mut committed_any = false;
@@ -1197,8 +920,8 @@ impl<'a> Solver<'a> {
             let end = (start + commit).min(self.lens[q]);
             let mut n = start;
             while n < end {
-                let j = sys.col_of[&(q, n)];
-                if sys.diag[j] < threshold {
+                let j = col_of[&(q, n)];
+                if diag[j] < threshold {
                     break;
                 }
                 let soft = x[j];
@@ -1283,8 +1006,7 @@ impl<'a> Solver<'a> {
                 self.img_acc[c][q][p] = new_val;
             }
             if range.len() >= MIN_FEEDBACK_CHUNK && observed.len() == image.samples.len() {
-                let kp = self.cfg.recovery.window_pll_kp;
-                if kp > 0.0 {
+                if self.cfg.recovery.is_robust() {
                     // per-window PI tracking: follows the phase-noise walk
                     // with damped response to any single (still
                     // interference-contaminated) window, integrator on
@@ -1297,8 +1019,8 @@ impl<'a> Solver<'a> {
                         pool,
                         kernel,
                         &mut self.pll[c][q],
-                        kp,
-                        self.cfg.recovery.window_pll_ki,
+                        WINDOW_PLL_KP,
+                        WINDOW_PLL_KI,
                     );
                 } else {
                     view.feedback_with(&observed, image, exp, &sym_fn, pool, kernel);
@@ -1511,7 +1233,10 @@ mod tests {
             &[Complex::real(0.8), Complex::real(0.4)],
         ));
         assert!(proxy_conditioning(&collinear) < 1e-3, "proportional channels are collinear rows");
-        assert!(reference > 0.02, "diverse members must clear the robust preset's gate");
+        assert!(
+            reference > crate::engine::stage::ROBUST_MIN_CONDITIONING,
+            "diverse members must clear the robust preset's gate"
+        );
     }
 
     #[test]

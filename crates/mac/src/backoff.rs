@@ -52,9 +52,8 @@ impl Backoff {
 ///   ([`BackoffState::on_defer`]). Deferring is the protocol working,
 ///   not evidence of congestion.
 ///
-/// The seed-era `pair_episode` conflated the round index with the stage;
-/// this type makes the distinction explicit and is what both the episode
-/// generator and the [`crate::cell`] simulator consume.
+/// The stage counts collisions, not rounds; this type is what the
+/// [`crate::cell`] simulator's DCF consumes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackoffState {
     stage: u32,

@@ -676,7 +676,7 @@ pub fn impaired_recovery_scenario(
 
 /// Runs the typical-link robustness sweep: at every [`ImpairmentPoint`],
 /// `seeds.len()` degenerate-backoff scenarios are driven end-to-end
-/// through the receiver **twice** — once under `baseline` (PR 5's
+/// through the receiver **twice** — once under `baseline` (the
 /// single-pass solver, `RecoveryConfig::on`) and once under `turbo`
 /// (`RecoveryConfig::robust`) — and the delivered counts are aggregated
 /// into one [`ReclaimPoint`] per cell. All runs fan out across the

@@ -2,6 +2,9 @@
 //! golden event hashes, and the multi-threaded `BatchEngine` must be
 //! bit-for-bit identical to a single-threaded run.
 
+mod common;
+
+use common::{hash_events, FNV_OFFSET};
 use rand::prelude::*;
 use zigzag::channel::fading::LinkProfile;
 use zigzag::channel::scenario::{clean_reception, hidden_pair, synth_collision, PlacedTx};
@@ -106,40 +109,6 @@ fn three_sender_set() -> (ClientRegistry, Vec<Vec<Complex>>, [[usize; 3]; 3]) {
     (registry(&[(1, &links[0]), (2, &links[1]), (3, &links[2])]), buffers, offs)
 }
 
-/// FNV-1a over `bytes`, folded into `h`.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Folds one buffer's event sequence into `h`: the event count, then per
-/// event its variant tag, and for a delivery its [`DecodePath`] tag and
-/// the frame's length-prefixed MPDU bytes.
-fn hash_events(h: &mut u64, events: &[ReceiverEvent]) {
-    fnv1a(h, &(events.len() as u64).to_le_bytes());
-    for e in events {
-        match e {
-            ReceiverEvent::Delivered { frame, path } => {
-                let path_tag = match path {
-                    DecodePath::Standard => 0,
-                    DecodePath::Capture => 1,
-                    DecodePath::InterferenceCancellation => 2,
-                    DecodePath::Zigzag => 3,
-                    DecodePath::MrcRetry => 4,
-                    DecodePath::Recovered => 5,
-                };
-                fnv1a(h, &[0, path_tag]);
-                let mpdu = frame.mpdu_bytes();
-                fnv1a(h, &(mpdu.len() as u64).to_le_bytes());
-                fnv1a(h, &mpdu);
-            }
-            ReceiverEvent::CollisionStored => fnv1a(h, &[1]),
-            ReceiverEvent::DecodeFailed => fnv1a(h, &[2]),
-        }
-    }
-}
-
 /// Golden digests of the standard pipeline's events on the three
 /// workloads below, recorded (identically on the scalar and simd
 /// backends) while the pipeline still matched the original monolithic
@@ -152,7 +121,7 @@ const GOLDEN_THREE_SENDER: u64 = 0x011b_1f6e_c397_9b0b;
 /// Digest of every unit's per-buffer events through a fresh one-shard
 /// receiver (the front door a single AP uses).
 fn pipeline_digest(units: &[DecodeUnit]) -> (u64, Vec<ReceiverEvent>) {
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     let mut all = Vec::new();
     for unit in units {
         let mut rx = ShardedReceiver::new(

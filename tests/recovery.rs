@@ -1,16 +1,18 @@
 //! Integration tests of the algebraic batch-recovery subsystem
 //! (`zigzag_core::recovery`): the joint solver must decode collision
 //! groups the paper's iterative decoder provably cannot, stay
-//! bit-identical across shard counts and kernel backends, and never
-//! double-emit a packet recovered through more than one path.
+//! bit-identical across shard counts and kernel backends, reproduce the
+//! golden event digests of both presets, and never double-emit a packet
+//! recovered through more than one path.
 
+mod common;
+
+use common::{hash_events, FNV_OFFSET};
 use proptest::prelude::*;
 use rand::prelude::*;
-use zigzag::channel::fading::LinkProfile;
+use zigzag::channel::fading::{LinkProfile, DEFAULT_PHASE_NOISE, DEFAULT_SAMPLING_DRIFT};
 use zigzag::channel::scenario::{synth_collision, PlacedTx};
-use zigzag::core::config::{
-    ClientInfo, ClientRegistry, DecoderConfig, RecoveryConfig, ShardConfig,
-};
+use zigzag::core::config::{ClientInfo, ClientRegistry, DecoderConfig, ShardConfig};
 use zigzag::core::engine::{Pipeline, ReceiverCore, ShardedReceiver};
 use zigzag::core::receiver::{DecodePath, ReceiverEvent};
 use zigzag::phy::complex::Complex;
@@ -53,6 +55,17 @@ fn equal_offset_pair(
 ) -> (ClientRegistry, Vec<Vec<Complex>>, Vec<Frame>) {
     let la = LinkProfile::clean_with_omega(17.0, -0.08);
     let lb = LinkProfile::clean_with_omega(17.0, 0.09);
+    equal_offset_pair_over(&la, &lb, payload, delta, seed)
+}
+
+/// [`equal_offset_pair`] over the given links.
+fn equal_offset_pair_over(
+    la: &LinkProfile,
+    lb: &LinkProfile,
+    payload: usize,
+    delta: usize,
+    seed: u64,
+) -> (ClientRegistry, Vec<Vec<Complex>>, Vec<Frame>) {
     let a = air(1, seed as u16, payload);
     let b = air(2, seed as u16, payload);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -69,8 +82,58 @@ fn equal_offset_pair(
         .buffer
     };
     let buffers = vec![mk(&mut rng), mk(&mut rng)];
-    let reg = registry(&[(1, &la), (2, &lb)]);
+    let reg = registry(&[(1, la), (2, lb)]);
     (reg, buffers, vec![a.frame, b.frame])
+}
+
+/// An unrelated collision of the same two clients at a distinct offset:
+/// fed between a group's receptions into a cap-1 store, it evicts the
+/// stored member into the salvage pool.
+fn interloper(la: &LinkProfile, lb: &LinkProfile, seed: u64) -> Vec<Complex> {
+    let a = air(1, 99, 120);
+    let b = air(2, 99, 120);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (ca, cb) = (la.draw(&mut rng), lb.draw(&mut rng));
+    synth_collision(
+        &[PlacedTx { air: &a, base: &ca, start: 0 }, PlacedTx { air: &b, base: &cb, start: 200 }],
+        1.0,
+        &mut rng,
+    )
+    .buffer
+}
+
+/// §4.5 generalized to three senders on benign 17 dB links: four
+/// collisions of the same three packets at identical relative offsets
+/// (0, 300, 600). Through a cap-1 store, three of them funnel into the
+/// salvage pool and the last recruits them into a k = 3 joint solve.
+fn equal_offset_triple(seed: u64) -> (ClientRegistry, Vec<Vec<Complex>>) {
+    let links = [
+        LinkProfile::clean_with_omega(17.0, -0.08),
+        LinkProfile::clean_with_omega(17.0, 0.02),
+        LinkProfile::clean_with_omega(17.0, 0.09),
+    ];
+    let airs: Vec<_> = (1..=3).map(|id| air(id, seed as u16, 120)).collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x3333);
+    let chans: Vec<_> = links.iter().map(|l| l.draw(&mut rng)).collect();
+    let buffers = (0..4)
+        .map(|_| {
+            let placed: Vec<PlacedTx<'_>> = (0..3)
+                .map(|i| PlacedTx { air: &airs[i], base: &chans[i], start: i * 300 })
+                .collect();
+            synth_collision(&placed, 1.0, &mut rng).buffer
+        })
+        .collect();
+    (registry(&[(1, &links[0]), (2, &links[1]), (3, &links[2])]), buffers)
+}
+
+/// A 15 dB link at the given oscillator offset with the typical-link
+/// impairments on top: the default phase-noise walk and full sampling
+/// drift.
+fn impaired_link(omega: f64) -> LinkProfile {
+    let mut l = LinkProfile::clean_with_omega(15.0, omega);
+    l.phase_noise = DEFAULT_PHASE_NOISE;
+    l.sampling_drift = DEFAULT_SAMPLING_DRIFT;
+    l
 }
 
 fn delivered_frames(events: &[ReceiverEvent], path: DecodePath) -> Vec<Frame> {
@@ -132,36 +195,74 @@ fn recovery_is_identical_across_backends() {
     }
 }
 
-/// The lockstep-batched `solve_groups` path (`batch_chunk > 0`, windows
-/// from several groups packed into one `lstsq_batch` dispatch) must make
-/// bit-identical recovery decisions to the per-system reference path
-/// (`batch_chunk = 0`) at every chunk size — including under the robust
-/// preset, whose turbo re-estimation passes stress the pass-transition
-/// sequencing inside the batched state machine.
+/// Golden digests of the recovery path's events, recorded (identically
+/// on the scalar and simd backends) while the solver still carried a
+/// lockstep batch path and one setting per robust-preset knob. A change
+/// to either is a change in recovery behaviour.
+const GOLDEN_EQUAL_OFFSET: u64 = 0xcfa9_001e_7b47_8363;
+const GOLDEN_ROBUST_GAIN: u64 = 0x26b6_be7c_07be_ff5b;
+
+/// Feeds `buffers` through a fresh one-shard receiver, folding each
+/// buffer's events into `h`; returns the number of recovered frames.
+fn recovery_digest(
+    cfg: DecoderConfig,
+    reg: &ClientRegistry,
+    buffers: &[Vec<Complex>],
+    h: &mut u64,
+) -> usize {
+    let mut rx = single(cfg, reg.clone());
+    let mut recovered = 0;
+    for b in buffers {
+        let events = rx.process(b);
+        recovered += delivered_frames(&events, DecodePath::Recovered).len();
+        hash_events(h, &events);
+    }
+    recovered
+}
+
+/// The recovery path's behaviour pin, under both presets on both
+/// backends. The first digest covers benign equal-offset pairs. The
+/// second covers groups where the robust preset must recover strictly
+/// more than the single-pass solver: an impaired-link pair solved once
+/// from the store and once recruited through the salvage pool, and two
+/// k = 3 pool-assembled triples. Screened so that each robust mechanism
+/// moves it: dropping the turbo passes, retuning either PLL gain,
+/// removing the adaptive ridge or raising the conditioning floor each
+/// change the digest.
 #[test]
-fn batched_solve_groups_is_identical_to_per_system() {
-    for seed in [3, 6, 11] {
-        let (reg, buffers, _) = equal_offset_pair(120, 300, seed);
-        for base in [DecoderConfig::with_recovery(), DecoderConfig::with_robust_recovery()] {
-            let run = |batch_chunk: usize| {
-                let cfg = DecoderConfig {
-                    recovery: RecoveryConfig { batch_chunk, ..base.recovery.clone() },
-                    ..base.clone()
-                };
-                let mut core = ReceiverCore::new(cfg, reg.clone());
-                let pipeline = Pipeline::standard();
-                buffers.iter().flat_map(|b| core.receive(&pipeline, b)).collect::<Vec<_>>()
-            };
-            let reference = run(0);
-            for chunk in [1, 3, 8] {
-                assert_eq!(
-                    reference,
-                    run(chunk),
-                    "seed {seed} turbo={}: batch_chunk={chunk} must match the per-system path",
-                    base.recovery.turbo_iters
-                );
+fn recovery_matches_golden_event_hashes() {
+    let presets = [DecoderConfig::with_recovery(), DecoderConfig::with_robust_recovery()];
+    let la = impaired_link(-0.08);
+    let lb = impaired_link(0.09);
+    let (impaired_reg, impaired, _) = equal_offset_pair_over(&la, &lb, 120, 300, 0);
+    let pooled = [impaired[0].clone(), interloper(&la, &lb, 0x1E11), impaired[1].clone()];
+    let triples = [equal_offset_triple(6), equal_offset_triple(15)];
+    for backend in [BackendKind::Scalar, BackendKind::Simd] {
+        let on = |preset: &DecoderConfig| DecoderConfig { backend, ..preset.clone() };
+        let mut h = FNV_OFFSET;
+        for seed in [3, 6, 11] {
+            let (reg, buffers, _) = equal_offset_pair(120, 300, seed);
+            for preset in &presets {
+                recovery_digest(on(preset), &reg, &buffers, &mut h);
             }
         }
+        assert_eq!(h, GOLDEN_EQUAL_OFFSET, "{backend:?}: equal-offset digest {h:#018x}");
+
+        let mut h = FNV_OFFSET;
+        let mut recovered = [0; 2];
+        for (i, preset) in presets.iter().enumerate() {
+            recovered[i] += recovery_digest(on(preset), &impaired_reg, &impaired, &mut h);
+            let cap1 = DecoderConfig { collision_store: 1, ..on(preset) };
+            recovered[i] += recovery_digest(cap1.clone(), &impaired_reg, &pooled, &mut h);
+            for (reg, buffers) in &triples {
+                recovered[i] += recovery_digest(cap1.clone(), reg, buffers, &mut h);
+            }
+        }
+        assert!(
+            recovered[1] > recovered[0],
+            "{backend:?}: robust must recover strictly more than single-pass: {recovered:?}"
+        );
+        assert_eq!(h, GOLDEN_ROBUST_GAIN, "{backend:?}: robust-gain digest {h:#018x}");
     }
 }
 
@@ -312,23 +413,9 @@ fn evicted_collision_recovers_through_salvage_pool() {
     // loss. With recovery on, the eviction lands in the salvage pool, and
     // the matching retransmission recruits it from there and decodes.
     let (reg, buffers, frames) = equal_offset_pair(120, 300, 3);
-    let interloper = {
-        let la = LinkProfile::clean_with_omega(17.0, -0.08);
-        let lb = LinkProfile::clean_with_omega(17.0, 0.09);
-        let a = air(1, 99, 120);
-        let b = air(2, 99, 120);
-        let mut rng = StdRng::seed_from_u64(555);
-        let (ca, cb) = (la.draw(&mut rng), lb.draw(&mut rng));
-        synth_collision(
-            &[
-                PlacedTx { air: &a, base: &ca, start: 0 },
-                PlacedTx { air: &b, base: &cb, start: 200 },
-            ],
-            1.0,
-            &mut rng,
-        )
-        .buffer
-    };
+    let la = LinkProfile::clean_with_omega(17.0, -0.08);
+    let lb = LinkProfile::clean_with_omega(17.0, 0.09);
+    let interloper = interloper(&la, &lb, 555);
     let cfg = DecoderConfig { collision_store: 1, ..DecoderConfig::with_recovery() };
     let mut rx = single(cfg, reg);
     let ev1 = rx.process(&buffers[0]);

@@ -484,7 +484,7 @@ fn bench_batch_decode(c: &mut Criterion) {
     let stream_cfg = StreamConfig::default();
     let soak_regions =
         carve_buffer(&soak_air.samples, &shared_cfg, &soak_air.registry, &stream_cfg);
-    assert_eq!(soak_regions.len(), soak_air.bursts, "gap > max_packet ⇒ one region per burst");
+    assert_eq!(soak_regions.len(), soak_air.bursts, "gap > packet horizon ⇒ one region per burst");
     let soak_buffers: Vec<Vec<Complex>> = soak_regions.iter().map(|r| r.samples.clone()).collect();
     let soak_precut = run_single(&shared_cfg, &soak_air.registry, &soak_buffers);
     println!(

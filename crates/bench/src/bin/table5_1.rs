@@ -2,7 +2,9 @@
 //!
 //! Rows:
 //! * correlation-based collision detection — false positive / false
-//!   negative rates at β = 0.65 over SNR ∈ [6, 20] dB (paper: 3.1% / 1.9%);
+//!   negative rates over SNR ∈ [6, 20] dB at this receiver's β
+//!   ([`BETA`]; the paper's 0.65 is for a 2 samples/symbol front end)
+//!   (paper: 3.1% / 1.9%);
 //! * frequency & phase tracking — fraction of colliding packets decodable
 //!   (BER < 10⁻³) with and without the §4.2.4 tracking, for 800 B and
 //!   1500 B packets (paper: 99.6/98.2% with; 89/0% without);
@@ -14,7 +16,7 @@ use zigzag_bench::{airframe, draw_offsets, run_zigzag_pair, section, trials};
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{clean_reception, hidden_pair};
 use zigzag_core::config::DecoderConfig;
-use zigzag_core::detect::{detect_packets, is_collision};
+use zigzag_core::detect::{detect_packets, is_collision, BETA};
 use zigzag_core::engine::{unit_seed, BatchEngine};
 use zigzag_phy::preamble::Preamble;
 
@@ -76,7 +78,7 @@ fn main() {
     let n = trials(250, 30);
     let engine = BatchEngine::new(0);
 
-    section("Correlation collision detector (beta = 0.78; paper used 0.65 at 2 sps)");
+    section(&format!("Correlation collision detector (beta = {BETA}; paper used 0.65 at 2 sps)"));
     let (fp, fneg) = correlation_rates(trials(500, 60));
     println!("false positives: {:.1}%   (paper: 3.1%)", fp * 100.0);
     println!("false negatives: {:.1}%   (paper: 1.9%)", fneg * 100.0);

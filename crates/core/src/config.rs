@@ -7,62 +7,29 @@
 //! per-client state (plus the per-link static ISI taps and a coarse SNR
 //! estimate, both also learnable from any clean packet).
 
-use std::collections::HashMap;
+use crate::stream::{lookahead, LEAD};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use zigzag_phy::filter::Fir;
 use zigzag_phy::kernel::BackendKind;
 
-/// How the match layer searches candidate alignments
-/// ([`crate::matchset`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MatchSearch {
-    /// Coarse-to-fine funnel (the default): candidate alignments pass a
-    /// short-window integer-τ prefilter, survivors are promoted to the
-    /// half-sample coarse metric, and only per-bucket winners pay the
-    /// full-window τ=0.25 metric — with mid-accumulation abandonment of
-    /// candidates that provably cannot reach the match threshold. The
-    /// funnel only ever *skips work whose outcome is already decided*
-    /// (prefilter margins are sized so any true match survives; bailed
-    /// metrics are exact whenever they clear the threshold), so it
-    /// selects the same match sets as the exhaustive path.
-    #[default]
-    Staged,
-    /// Evaluate every candidate alignment at full precision with no
-    /// prefilters or early abandonment — the reference the
-    /// staged-vs-exhaustive differential tests compare against.
-    Exhaustive,
-}
-
 /// Tunable knobs of the ZigZag receiver. Defaults reproduce the paper's
 /// configuration; the `false` settings exist for the Table 5.1 ablations.
+/// Values the evaluation never varies are documented constants beside
+/// their readers: the §5.3a detection threshold β
+/// ([`BETA`](crate::detect::BETA)) and the chunk decoder's tracking
+/// loop gains and block size (`view.rs`).
 #[derive(Clone, Debug)]
 pub struct DecoderConfig {
-    /// Track phase/frequency of reconstructed chunk images (§4.2.4b).
-    /// Table 5.1 row "Frequency & Phase Tracking".
-    pub track_phase: bool,
-    /// Track the sampling offset of reconstructions (§4.2.4c).
-    pub track_timing: bool,
-    /// Track the channel amplitude of reconstructions.
-    pub track_gain: bool,
+    /// Track the phase/frequency (§4.2.4b), sampling offset (§4.2.4c)
+    /// and channel amplitude of reconstructed chunk images. Table 5.1 row
+    /// "Frequency & Phase Tracking".
+    pub tracking: bool,
     /// Model/compensate ISI (equalizer + inverse filter, §4.2.4d).
     /// Table 5.1 row "ISI Filter".
     pub use_isi_filter: bool,
     /// Run the backward pass and MRC-combine with the forward pass (§4.3b).
     pub backward: bool,
-    /// Correlation detection threshold factor β in `Γ' > β·L·ĥ`
-    /// (§5.3a; the paper uses 0.65).
-    pub beta: f64,
-    /// Gain α of the reconstruction frequency update `δf̂ += α·δφ/δt`.
-    pub alpha_freq: f64,
-    /// Decision-directed PLL proportional gain.
-    pub pll_kp: f64,
-    /// Decision-directed PLL integral gain.
-    pub pll_ki: f64,
-    /// Mueller–Müller timing loop gain (applied once per block to the
-    /// block-averaged timing error — see `ChannelView::decode_chunk`).
-    pub mm_gain: f64,
-    /// Sub-block size (symbols) between timing re-interpolations.
-    pub block: usize,
     /// How many recent unmatched collisions the AP stores **per
     /// client-set key** (§4.2.2: "it is sufficient to store the few most
     /// recent collisions"). A k-sender match set needs k−1 stored
@@ -92,9 +59,6 @@ pub struct DecoderConfig {
     /// (`zigzag_phy::kernel`). Defaults to the explicit-SIMD backend;
     /// `ZIGZAG_BACKEND=scalar` selects the scalar reference process-wide.
     pub backend: BackendKind,
-    /// How the match layer searches candidate alignments: the staged
-    /// coarse-to-fine funnel (default) or the exhaustive reference.
-    pub match_search: MatchSearch,
     /// The algebraic batch-recovery subsystem
     /// ([`crate::recovery`]): joint Gaussian elimination over collision
     /// groups the chunk scheduler cannot peel. Off by default — see
@@ -125,9 +89,8 @@ pub struct DecoderConfig {
 /// Everything else is a documented constant beside its reader: the
 /// solver's shape — window 32 / commit 16 symbols, ridge λ = 1e-4 of the
 /// mean observation energy, a 0.25 observation gate — and the robust
-/// preset's turbo pass count, window-PLL gains and adaptive ridge
-/// (`recovery.rs`); the salvage pool of 4 collisions per client-set key,
-/// groups of at most 4 collisions and the robust conditioning floor
+/// preset's window-PLL gains (`recovery.rs`); the salvage pool of 4
+/// collisions per client-set key and groups of at most 4 collisions
 /// (`engine/stage.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryConfig {
@@ -142,11 +105,14 @@ pub enum RecoveryConfig {
     SinglePass,
     /// The typical-link robustness preset: the single-pass solver plus
     /// the machinery that survives impaired channels — per-window PI
-    /// phase tracking (rides phase-noise walks), turbo re-estimation
-    /// (reclaims CRC-failed first solves from their own cancelled
-    /// buffers, the SIC iteration of arXiv:1401.7374),
-    /// conditioning-gated member selection, and a conditioning-scaled
-    /// ridge. On benign links it delivers the same frames as
+    /// phase tracking (rides phase-noise walks), one turbo re-estimation
+    /// pass (reclaims CRC-failed first solves from their own cancelled
+    /// buffers, the SIC iteration of arXiv:1401.7374), and a
+    /// conditioning-scaled ridge (it grows with each window's
+    /// observation-energy spread). Every confirmed salvage-pool candidate
+    /// is admitted, as under [`RecoveryConfig::SinglePass`]: members poor
+    /// in channel diversity (the case arXiv:1001.1948's joint solve
+    /// depends on) are left to the ridge, not filtered out. On benign links it delivers the same frames as
     /// [`RecoveryConfig::SinglePass`]; on `LinkProfile::typical`-class
     /// links it reclaims strictly more (the bench's tracked robustness
     /// curve).
@@ -178,31 +144,12 @@ impl RecoveryConfig {
 impl Default for DecoderConfig {
     fn default() -> Self {
         Self {
-            track_phase: true,
-            track_timing: true,
-            track_gain: true,
+            tracking: true,
             use_isi_filter: true,
             backward: true,
-            // The paper uses β = 0.65 with a 2-samples/symbol front end;
-            // at 1 sample/symbol the preamble carries half the samples,
-            // so the data-sidelobe tail requires a higher normalised
-            // threshold for the same false-positive rate. 0.78 balances
-            // FP/FN at the paper's few-percent level (Table 5.1 bench).
-            beta: 0.78,
-            alpha_freq: 0.3,
-            // Cool loop gains: at the evaluation's SNRs the BPSK decision
-            // noise is ~0.35 rad/symbol, and a hot integral gain turns it
-            // into frequency jitter that wrecks whole blocks. kp alone
-            // keeps ramp lag at ω_resid/kp ≈ 0.006 rad for the
-            // association-jitter residual.
-            pll_kp: 0.04,
-            pll_ki: 2e-4,
-            mm_gain: 0.3,
-            block: 128,
             collision_store: 4,
             key_window: usize::MAX,
             backend: BackendKind::default(),
-            match_search: MatchSearch::default(),
             recovery: RecoveryConfig::default(),
             solo_reap: false,
         }
@@ -233,8 +180,8 @@ impl DecoderConfig {
     }
 
     /// [`DecoderConfig::with_recovery`] hardened for typical (impaired)
-    /// links: the [`RecoveryConfig::Robust`] preset — window PLL, turbo
-    /// re-estimation, conditioning-aware recruitment.
+    /// links: the [`RecoveryConfig::Robust`] preset — window PLL, one
+    /// turbo re-estimation pass, conditioning-scaled ridge.
     pub fn with_robust_recovery() -> Self {
         Self { recovery: RecoveryConfig::robust(), ..Self::default() }
     }
@@ -251,7 +198,7 @@ impl DecoderConfig {
     /// Configuration with all ZigZag-specific tracking disabled (the
     /// "Success Without" rows of Table 5.1).
     pub fn without_tracking() -> Self {
-        Self { track_phase: false, track_timing: false, track_gain: false, ..Self::default() }
+        Self { tracking: false, ..Self::default() }
     }
 
     /// Configuration without ISI modelling (Table 5.1 "ISI Filter"
@@ -282,7 +229,7 @@ pub struct ClientInfo {
 /// The AP's association table.
 #[derive(Clone, Debug, Default)]
 pub struct ClientRegistry {
-    clients: HashMap<u16, ClientInfo>,
+    clients: BTreeMap<u16, ClientInfo>,
 }
 
 impl ClientRegistry {
@@ -301,7 +248,9 @@ impl ClientRegistry {
         self.clients.get(&id)
     }
 
-    /// Iterates over `(id, info)` pairs in unspecified order.
+    /// Iterates over `(id, info)` pairs in ascending id order — the
+    /// order every detection scan visits clients in, so an exact
+    /// correlation tie always goes to the lowest id.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &ClientInfo)> {
         self.clients.iter().map(|(&k, v)| (k, v))
     }
@@ -406,9 +355,10 @@ impl ShardConfig {
 }
 
 /// Shape of the streaming front end ([`crate::stream`]): how the
-/// continuous IQ stream is windowed for detection, how collision regions
-/// are carved around detections, and how much raw sample memory the
-/// bounded ingest ring may hold.
+/// continuous IQ stream is windowed for detection and how much raw
+/// sample memory the bounded ingest ring may hold. The carve geometry —
+/// scan lookahead, region lead, packet horizon and region cap — is fixed
+/// by the preamble and the frame format (constants in `stream/`).
 ///
 /// The determinism contract extends through these knobs: for a given
 /// configuration the carved regions — boundaries, samples, and attached
@@ -422,64 +372,30 @@ pub struct StreamConfig {
     /// retention; the scan cost per sample is the same either way
     /// because every correlation position is computed exactly once.
     pub window: usize,
-    /// Extra lookahead samples the scanner waits for beyond the window
-    /// being committed, so every committed position has its full
-    /// peak-suppression neighborhood and full-length correlation sums.
-    /// Values below the structural floor (preamble separation + preamble
-    /// length + interpolation margin, `2·L + 8`) are raised to it.
-    pub overlap: usize,
     /// Capacity of the bounded [`SampleRing`](crate::stream::SampleRing)
     /// in samples. When the ring is full, `push_samples` blocks — the
     /// end of the backpressure chain (shard queue → carver → ring →
-    /// source). Raised if necessary so one window + overlap + lead
+    /// source). Raised if necessary so one window + lookahead + lead
     /// always fits.
     pub ring_depth: usize,
-    /// Quiet samples carved ahead of a region's first detection, so the
-    /// carved buffer gives the decode pipeline the same interpolation
-    /// and suppression context the detections were found with.
-    pub lead: usize,
-    /// Samples a region is extended past its *last* detection before it
-    /// can close — an upper bound on one packet's air length (plus tail
-    /// pad). Any further detection inside that horizon extends the
-    /// region, so collisions spanning many windows stay in one region.
-    pub max_packet: usize,
-    /// Hard cap on a single region's length: a pathological detection
-    /// chain (e.g. a continuously-keyed interferer) closes at this size
-    /// and re-opens, bounding carve memory.
-    pub max_region: usize,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        Self {
-            window: 4096,
-            overlap: 0, // raised to the structural floor at stream start
-            ring_depth: 1 << 16,
-            lead: 64,
-            max_packet: 4096,
-            max_region: 1 << 20,
-        }
+        Self { window: 4096, ring_depth: 1 << 16 }
     }
 }
 
 impl StreamConfig {
-    /// The effective lookahead for preamble length `l`: the configured
-    /// overlap with the structural floor `2·l + 8` applied (peak
-    /// suppression needs `l` of right context, the correlation sum reads
-    /// `l` further, and the half-sample grid interpolates 8 taps ahead).
-    pub fn effective_overlap(&self, l: usize) -> usize {
-        self.overlap.max(2 * l + 8)
-    }
-
     /// The effective window stride (floor: one preamble length).
     pub fn effective_window(&self, l: usize) -> usize {
         self.window.max(l)
     }
 
     /// The effective ring capacity: at least one full advance —
-    /// window + overlap + lead + interpolation margin — must fit.
+    /// window + lookahead + lead + interpolation margin — must fit.
     pub fn effective_ring_depth(&self, l: usize) -> usize {
-        self.ring_depth.max(self.effective_window(l) + self.effective_overlap(l) + self.lead + 16)
+        self.ring_depth.max(self.effective_window(l) + lookahead(l) + LEAD + 16)
     }
 }
 
@@ -490,19 +406,18 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = DecoderConfig::default();
-        assert!(c.track_phase && c.track_timing && c.use_isi_filter && c.backward);
-        assert!((c.beta - 0.78).abs() < 1e-12);
+        assert!(c.tracking && c.use_isi_filter && c.backward);
     }
 
     #[test]
     fn ablations_toggle_single_concerns() {
         let t = DecoderConfig::without_tracking();
-        assert!(!t.track_phase && !t.track_timing);
+        assert!(!t.tracking);
         assert!(t.use_isi_filter && t.backward);
         let i = DecoderConfig::without_isi_filter();
-        assert!(!i.use_isi_filter && i.track_phase);
+        assert!(!i.use_isi_filter && i.tracking);
         let f = DecoderConfig::forward_only();
-        assert!(!f.backward && f.track_phase);
+        assert!(!f.backward && f.tracking);
     }
 
     #[test]
@@ -539,14 +454,13 @@ mod tests {
     #[test]
     fn stream_config_applies_structural_floors() {
         let c = StreamConfig::default();
-        assert_eq!(c.effective_overlap(32), 72, "floor = 2·L + 8");
+        assert_eq!(lookahead(32), 72, "lookahead = 2·L + 8");
         assert!(c.effective_window(32) >= 32);
-        assert!(c.effective_ring_depth(32) >= c.effective_window(32) + 72 + c.lead);
+        assert!(c.effective_ring_depth(32) >= c.effective_window(32) + 72 + LEAD);
         // degenerate knobs are raised, never honored below the floor
-        let tiny = StreamConfig { window: 8, overlap: 4, ring_depth: 1, ..c };
+        let tiny = StreamConfig { window: 8, ring_depth: 1 };
         assert_eq!(tiny.effective_window(32), 32);
-        assert_eq!(tiny.effective_overlap(32), 72);
-        assert!(tiny.effective_ring_depth(32) >= 32 + 72 + tiny.lead);
+        assert!(tiny.effective_ring_depth(32) >= 32 + 72 + LEAD);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! The detection threshold follows §5.3(a): `Γ'(Δ) > β·L·ĥ` where L is
 //! the preamble length and `ĥ` the coarse channel-amplitude estimate of
-//! the candidate client (from previously decoded packets); `β = 0.65`
-//! balances false positives against false negatives (Table 5.1).
+//! the candidate client (from previously decoded packets); the paper's
+//! `β = 0.65` balances false positives against false negatives
+//! (Table 5.1). This receiver uses [`BETA`].
 
 use crate::config::{ClientRegistry, DecoderConfig};
 use crate::engine::scratch::Scratch;
@@ -18,6 +19,15 @@ use zigzag_channel::noise::amplitude_for_snr_db;
 use zigzag_phy::complex::Complex;
 use zigzag_phy::correlate::find_peaks;
 use zigzag_phy::preamble::Preamble;
+
+/// Correlation detection threshold factor β in `Γ' > β·L·ĥ` (§5.3a).
+///
+/// The paper uses β = 0.65 with a 2-samples/symbol front end; at
+/// 1 sample/symbol the preamble carries half the samples, so the
+/// data-sidelobe tail requires a higher normalised threshold for the
+/// same false-positive rate. 0.78 balances FP/FN at the paper's
+/// few-percent level (Table 5.1 bench).
+pub const BETA: f64 = 0.78;
 
 /// A detected packet start.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,7 +56,7 @@ pub fn detect_packets(
     cfg: &DecoderConfig,
 ) -> Vec<Detection> {
     let mut ws = Scratch::with_backend(cfg.backend);
-    detect_packets_with(buffer, preamble, registry, cfg, &mut ws)
+    detect_packets_with(buffer, preamble, registry, &mut ws)
 }
 
 /// The §5.3(a) detection threshold for one associated client:
@@ -54,8 +64,8 @@ pub fn detect_packets(
 /// the client's associated SNR. Shared by the one-shot scan below and
 /// the windowed scanner of [`crate::stream`], so both paths gate spikes
 /// identically.
-pub fn client_threshold(cfg: &DecoderConfig, preamble_len: usize, snr_db: f64) -> f64 {
-    cfg.beta * preamble_len as f64 * amplitude_for_snr_db(snr_db)
+pub fn client_threshold(preamble_len: usize, snr_db: f64) -> f64 {
+    BETA * preamble_len as f64 * amplitude_for_snr_db(snr_db)
 }
 
 /// Merges near-duplicate detections across clients and sampling grids:
@@ -87,7 +97,6 @@ pub fn detect_packets_with(
     buffer: &[Complex],
     preamble: &Preamble,
     registry: &ClientRegistry,
-    cfg: &DecoderConfig,
     ws: &mut Scratch,
 ) -> Vec<Detection> {
     let Scratch { pool, kernel, .. } = ws;
@@ -102,7 +111,7 @@ pub fn detect_packets_with(
     let mut corr = pool.take();
     let mut all: Vec<Detection> = Vec::new();
     for (client, info) in registry.iter() {
-        let threshold = client_threshold(cfg, l, info.snr_db);
+        let threshold = client_threshold(l, info.snr_db);
         for grid in [buffer, half.as_slice()] {
             kernel.scan_into(grid, preamble.symbols(), info.omega, 0..grid.len(), &mut corr);
             for p in find_peaks(&corr, threshold, l) {
@@ -251,26 +260,24 @@ mod tests {
     }
 
     #[test]
-    fn higher_beta_misses_weak_packets() {
-        // The §5.3a trade-off: raising β turns detections into misses.
-        let mut rng = StdRng::seed_from_u64(6);
-        let l = LinkProfile::clean(6.0);
-        let a = air(1, 200);
-        let rx = clean_reception(&a, &l, &mut rng);
-        let reg = setup_registry(&[(1, &l)]);
-        let lo = detect_packets(
-            &rx.buffer,
-            &Preamble::default_len(),
-            &reg,
-            &DecoderConfig { beta: 0.65, ..DecoderConfig::default() },
-        );
-        let hi = detect_packets(
-            &rx.buffer,
-            &Preamble::default_len(),
-            &reg,
-            &DecoderConfig { beta: 3.0, ..DecoderConfig::default() },
-        );
-        assert!(!lo.is_empty());
-        assert!(hi.len() <= lo.len());
+    fn identical_clients_tie_to_the_lowest_id() {
+        // Two clients registered with identical association info produce
+        // bit-identical correlation scores; the detection must go to the
+        // lowest id on every fresh registry, not to whichever client a
+        // hash order happens to visit first.
+        let mut rng = StdRng::seed_from_u64(7);
+        let l = LinkProfile::clean(12.0);
+        let rx = clean_reception(&air(1, 200), &l, &mut rng);
+        for _ in 0..32 {
+            let reg = setup_registry(&[(2, &l), (1, &l)]);
+            let det = detect_packets(
+                &rx.buffer,
+                &Preamble::default_len(),
+                &reg,
+                &DecoderConfig::default(),
+            );
+            assert_eq!(det.len(), 1, "{det:?}");
+            assert_eq!(det[0].client, 1, "an exact tie must go to the lowest id");
+        }
     }
 }

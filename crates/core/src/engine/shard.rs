@@ -386,13 +386,8 @@ impl ShardedReceiver {
     /// decode on the owning shard — no threads). Streaming counterpart
     /// of [`Self::process_batch`]; same events, same shard state.
     pub fn process(&mut self, buffer: &[Complex]) -> Vec<ReceiverEvent> {
-        let detections = detect_packets_with(
-            buffer,
-            &self.preamble,
-            &self.registry,
-            &self.cfg,
-            &mut self.router_ws,
-        );
+        let detections =
+            detect_packets_with(buffer, &self.preamble, &self.registry, &mut self.router_ws);
         let shard = route_shard(&collision_key(&detections, self.cfg.key_window), self.cores.len());
         self.loads[shard] += 1;
         self.cores[shard].receive_detected(&self.pipeline, buffer, detections)
@@ -418,14 +413,14 @@ impl ShardedReceiver {
         }
         let window = n * self.shard_cfg.queue_depth.max(1);
         let engine = BatchEngine::new(n);
-        let (cfg, registry, preamble) =
-            (self.cfg.clone(), self.registry.clone(), self.preamble.clone());
+        let (backend, registry, preamble) =
+            (self.cfg.backend, self.registry.clone(), self.preamble.clone());
         let run = self.run_shards(|dispatch| {
             for (w, chunk) in buffers.chunks(window).enumerate() {
                 let dets: Vec<Vec<Detection>> = engine.map_with(
                     chunk,
-                    || Scratch::with_backend(cfg.backend),
-                    |ws, _, buf| detect_packets_with(buf, &preamble, &registry, &cfg, ws),
+                    || Scratch::with_backend(backend),
+                    |ws, _, buf| detect_packets_with(buf, &preamble, &registry, ws),
                 );
                 for (i, (buf, detections)) in chunk.iter().zip(dets).enumerate() {
                     dispatch(w * window + i, Cow::Borrowed(buf.as_slice()), detections);

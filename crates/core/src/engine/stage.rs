@@ -18,8 +18,8 @@ use crate::config::{ClientRegistry, DecoderConfig, SharedRegistry};
 use crate::detect::{detect_packets_with, Detection};
 use crate::engine::scratch::Scratch;
 use crate::matchset::{
-    classify_match_with, collision_key, find_match_set_with, CollisionStore, MatchOutcome,
-    MatchSet, RejectedSet,
+    classify_match, collision_key, find_match_set, CollisionStore, MatchOutcome, MatchSet,
+    RejectedSet,
 };
 use crate::receiver::{DecodePath, ReceiverEvent};
 use crate::recovery::{group_from_pool, group_from_rejected, solve_group, SalvagePool};
@@ -37,16 +37,6 @@ const SALVAGE_POOL_PER_KEY: usize = 4;
 /// Most collision buffers jointly solved in one recovery group (each
 /// extra buffer adds equations — and solver rows).
 const MAX_GROUP_COLLISIONS: usize = 4;
-
-/// The robust preset's conditioning floor for salvage-pool member
-/// admission: a candidate is recruited only while the group's
-/// channel-proxy Gram matrix (detection correlations × placement shifts)
-/// keeps at least this normalised determinant
-/// ([`gram_conditioning`](zigzag_phy::linalg::gram_conditioning), `1.0` =
-/// orthogonal equations, `0.0` = collinear). Proportional channels score
-/// below 1e-3 and diverse members well above the floor (`recovery.rs`
-/// unit tests). The single-pass solver admits every confirmed candidate.
-pub(crate) const ROBUST_MIN_CONDITIONING: f64 = 0.02;
 
 /// The receiver's long-lived state, shared by every stage: configuration,
 /// a read-mostly handle to the association registry (shard-shareable, see
@@ -428,8 +418,8 @@ impl DecodeStage for DetectStage {
         events: &mut Vec<ReceiverEvent>,
     ) -> Flow {
         if !unit.detections_ready {
-            let ReceiverCore { cfg, registry, preamble, scratch, .. } = rx;
-            unit.detections = detect_packets_with(unit.buffer, preamble, registry, cfg, scratch);
+            let ReceiverCore { registry, preamble, scratch, .. } = rx;
+            unit.detections = detect_packets_with(unit.buffer, preamble, registry, scratch);
             unit.detections_ready = true;
         }
         if unit.detections.is_empty() {
@@ -625,30 +615,11 @@ impl DecodeStage for MatchStage {
         // otherwise take the historical fast path, which skips that
         // signal work entirely.
         let ReceiverCore { cfg, registry, preamble, store, scratch, .. } = rx;
-        let search = cfg.match_search;
         let outcome = if cfg.recovery.is_enabled() {
-            classify_match_with(
-                search,
-                scratch,
-                unit.buffer,
-                &unit.detections,
-                store,
-                registry,
-                preamble,
-            )
+            classify_match(scratch, unit.buffer, &unit.detections, store, registry, preamble)
         } else {
-            match find_match_set_with(
-                search,
-                scratch,
-                unit.buffer,
-                &unit.detections,
-                store,
-                registry,
-                preamble,
-            ) {
-                Some(set) => MatchOutcome::Matched(set),
-                None => MatchOutcome::NoMatch,
-            }
+            find_match_set(scratch, unit.buffer, &unit.detections, store, registry, preamble)
+                .map_or(MatchOutcome::NoMatch, MatchOutcome::Matched)
         };
         match outcome {
             MatchOutcome::Matched(set) => {
@@ -829,8 +800,6 @@ impl DecodeStage for RecoverStage {
         // combine with the current buffer's into a solvable system.
         let key = collision_key(&unit.detections, rx.store.key_window());
         let max_members = MAX_GROUP_COLLISIONS - 1;
-        let min_conditioning =
-            if rx.cfg.recovery.is_robust() { ROBUST_MIN_CONDITIONING } else { 0.0 };
         if let Some((group, used)) = group_from_pool(
             &mut rx.scratch,
             unit.buffer,
@@ -838,7 +807,6 @@ impl DecodeStage for RecoverStage {
             &key,
             &rx.salvage,
             max_members,
-            min_conditioning,
         ) {
             if Self::solve_and_deliver(rx, &group, events) {
                 rx.salvage.consume(&key, &used);

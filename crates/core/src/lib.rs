@@ -84,3 +84,18 @@ pub use stream::{
     StreamStats,
 };
 pub use zigzag::{CollisionSpec, PacketSpec, ZigzagDecoder, ZigzagOutput};
+
+/// `true` when `ZIGZAG_DEBUG` is set: the decoder's per-step traces on
+/// stderr (match alignment, chunk steps, recovery passes). Read from the
+/// environment once per process.
+pub(crate) fn debug() -> bool {
+    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FLAG.get_or_init(|| std::env::var_os("ZIGZAG_DEBUG").is_some())
+}
+
+/// `true` when `ZIGZAG_DEBUG_PLL` is set: the chunk decoder's per-block
+/// PLL fold trace on stderr. Read from the environment once per process.
+pub(crate) fn debug_pll() -> bool {
+    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FLAG.get_or_init(|| std::env::var_os("ZIGZAG_DEBUG_PLL").is_some())
+}

@@ -46,7 +46,7 @@
 //!   be retained ([`CollisionStore::set_evicted_capacity`] /
 //!   [`CollisionStore::take_evicted`]) and salvaged instead of dropped.
 
-use crate::config::{ClientRegistry, MatchSearch};
+use crate::config::ClientRegistry;
 use crate::detect::Detection;
 use crate::engine::scratch::Scratch;
 use crate::matcher::{MATCH_THRESHOLD, MATCH_WINDOW};
@@ -609,6 +609,26 @@ fn coarse_metric(
     }
 }
 
+/// How the match layer searches candidate alignments.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MatchSearch {
+    /// Coarse-to-fine funnel (what the receiver runs): candidate
+    /// alignments pass a short-window integer-τ prefilter, survivors are
+    /// promoted to the half-sample coarse metric, and only per-bucket
+    /// winners pay the full-window τ=0.25 metric — with mid-accumulation
+    /// abandonment of candidates that provably cannot reach the match
+    /// threshold. The funnel only ever *skips work whose outcome is
+    /// already decided* (prefilter margins are sized so any true match
+    /// survives; bailed metrics are exact whenever they clear the
+    /// threshold), so it selects the same match sets as the exhaustive
+    /// path.
+    Staged,
+    /// Evaluate every candidate alignment at full precision with no
+    /// prefilters or early abandonment — the reference the
+    /// staged-vs-exhaustive differential tests compare against.
+    Exhaustive,
+}
+
 /// The single matching entry point (§4.2.2 / §4.5): aligns the current
 /// collision against the store and returns a [`MatchSet`] once a
 /// decodable system exists. Uses the default staged coarse-to-fine
@@ -631,9 +651,9 @@ pub fn find_match_set(
     find_match_set_with(MatchSearch::Staged, ws, buffer, detections, store, registry, preamble)
 }
 
-/// [`find_match_set`] with an explicit [`MatchSearch`] strategy
-/// (`DecoderConfig::match_search`): the staged funnel or the exhaustive
-/// reference the differential tests compare it against.
+/// [`find_match_set`] with an explicit [`MatchSearch`] strategy: the
+/// staged funnel the receiver runs, or the exhaustive reference the
+/// staged-vs-exhaustive differential tests compare it against.
 pub fn find_match_set_with(
     search: MatchSearch,
     ws: &mut Scratch,
@@ -666,20 +686,7 @@ pub fn classify_match(
     registry: &ClientRegistry,
     preamble: &Preamble,
 ) -> MatchOutcome {
-    classify_match_with(MatchSearch::Staged, ws, buffer, detections, store, registry, preamble)
-}
-
-/// [`classify_match`] with an explicit [`MatchSearch`] strategy.
-pub fn classify_match_with(
-    search: MatchSearch,
-    ws: &mut Scratch,
-    buffer: &[Complex],
-    detections: &[Detection],
-    store: &CollisionStore,
-    registry: &ClientRegistry,
-    preamble: &Preamble,
-) -> MatchOutcome {
-    match_collision(search, ws, buffer, detections, store, registry, preamble, true)
+    match_collision(MatchSearch::Staged, ws, buffer, detections, store, registry, preamble, true)
 }
 
 /// Shared matcher body: `classify` selects whether undecodable
@@ -872,7 +879,7 @@ fn align_by_shifts(
             validated.push(v);
         }
     }
-    if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+    if crate::debug() {
         eprintln!(
             "  align: cur {:?} vs stored {:?} -> validated {validated:?}",
             cur_pos,
@@ -1060,7 +1067,7 @@ fn find_kway_match(
     }
     let cur_pos: Vec<usize> = detections.iter().map(|d| d.pos).collect();
 
-    let debug = std::env::var_os("ZIGZAG_DEBUG").is_some();
+    let debug = crate::debug();
     let radius = preamble.len() / 2;
 
     // Phase A: shift-align every same-key candidate (lists may be

@@ -61,14 +61,14 @@ use crate::detect::Detection;
 use crate::engine::scratch::Scratch;
 use crate::matcher::{MATCH_THRESHOLD, MATCH_WINDOW};
 use crate::matchset::{footprint_metric, pair_alignment, RejectedSet, StoredCollision, MAX_KWAY};
-use crate::schedule::{min_coverage_lens, shift_signature};
+use crate::schedule::min_coverage_lens;
 use crate::view::{ChannelView, PacketLayout, WindowPll};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use zigzag_phy::bits::bits_to_bytes;
 use zigzag_phy::complex::{Complex, ZERO};
 use zigzag_phy::frame::{decode_mpdu, Frame, PlcpHeader, PLCP_SYMBOLS};
-use zigzag_phy::linalg::{gram_conditioning, lstsq_cond};
+use zigzag_phy::linalg::lstsq_cond;
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::preamble::Preamble;
 
@@ -297,51 +297,6 @@ fn kway_pairing(
     Some(pairs)
 }
 
-/// One collision's row in the conditioning proxy: its per-packet channel
-/// coefficients (the detection correlations, ≈ `H·L`) embedded in a
-/// coordinate block keyed by the collision's shift signature. Equations
-/// from different signatures are independent by structure (they couple
-/// different symbol index pairs), so their rows are made orthogonal
-/// outright; same-signature collisions — §4.5's degenerate case — are
-/// left to be scored by their channel diversity alone.
-fn proxy_row(
-    signatures: &mut Vec<Vec<Option<isize>>>,
-    pairing_starts: &[(usize, usize)],
-    corrs: &[Complex],
-) -> (usize, Vec<Complex>) {
-    let k = corrs.len();
-    let layout = crate::schedule::CollisionLayout {
-        placements: pairing_starts
-            .iter()
-            .map(|&(packet, start)| crate::schedule::Placement { packet, start })
-            .collect(),
-        len: 0,
-    };
-    let sig = shift_signature(k, &layout);
-    let block = signatures.iter().position(|s| *s == sig).unwrap_or_else(|| {
-        signatures.push(sig);
-        signatures.len() - 1
-    });
-    let mut row = vec![ZERO; (block + 1) * k];
-    row[block * k..].copy_from_slice(corrs);
-    (block, row)
-}
-
-/// Pads every proxy row to the widest block width so
-/// [`gram_conditioning`] sees a rectangular system.
-fn proxy_conditioning(rows: &[(usize, Vec<Complex>)]) -> f64 {
-    let width = rows.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
-    let dense: Vec<Vec<Complex>> = rows
-        .iter()
-        .map(|(_, r)| {
-            let mut d = r.clone();
-            d.resize(width, ZERO);
-            d
-        })
-        .collect();
-    gram_conditioning(&dense)
-}
-
 /// Assembles a group from the salvage pool: pairs the current collision's
 /// detections against each same-key pooled entry by client, confirms the
 /// alignment by sample correlation on **every** packet, and admits up to
@@ -356,13 +311,9 @@ fn proxy_conditioning(rows: &[(usize, Vec<Complex>)]) -> f64 {
 /// recruitment rounds it survives, not once per round.
 ///
 /// Pure-shift members are admitted on purpose — cross-collision channel
-/// diversity is exactly what the joint solver exploits. But diversity is
-/// measurable: with `min_conditioning > 0`, each candidate is admitted
-/// only while the group's channel-proxy Gram matrix (detection
-/// correlations, block-keyed by placement shift signature) keeps at
-/// least that normalised determinant — a recruit whose equations are
-/// near-collinear with the rows already admitted would only poison the
-/// joint `lstsq`, so it is skipped rather than solved against.
+/// diversity is exactly what the joint solver exploits, and under the
+/// robust preset the conditioning-scaled ridge keeps a near-collinear
+/// member from destabilising the joint `lstsq`.
 pub fn group_from_pool(
     ws: &mut Scratch,
     buffer: &[Complex],
@@ -370,7 +321,6 @@ pub fn group_from_pool(
     key: &[u16],
     pool: &SalvagePool,
     max_members: usize,
-    min_conditioning: f64,
 ) -> Option<(RecoveryGroup, Vec<usize>)> {
     let k = key.len();
     if !(2..=MAX_KWAY).contains(&k) || max_members == 0 {
@@ -380,8 +330,6 @@ pub fn group_from_pool(
     let mut placements: Vec<Vec<(usize, usize)>> = Vec::new();
     let mut clients: Vec<u16> = Vec::new();
     let mut used = Vec::new();
-    let mut signatures: Vec<Vec<Option<isize>>> = Vec::new();
-    let mut proxy: Vec<(usize, Vec<Complex>)> = Vec::new();
     for (i, cand) in pool.candidates(key).enumerate() {
         if placements.len() > max_members {
             break;
@@ -421,8 +369,6 @@ pub fn group_from_pool(
             // first member fixes the packet order (current-buffer starts)
             placements.push(pairing.iter().enumerate().map(|(q, &(c, _))| (q, c.pos)).collect());
             clients = pairing.iter().map(|&(c, _)| c.client).collect();
-            let current_corrs: Vec<Complex> = pairing.iter().map(|&(c, _)| c.corr).collect();
-            proxy.push(proxy_row(&mut signatures, &placements[0], &current_corrs));
         }
         // subsequent members must agree on the current-buffer pairing
         if pairing.iter().map(|&(c, _)| (c.client, c.pos)).collect::<Vec<_>>()
@@ -434,19 +380,8 @@ pub fn group_from_pool(
         {
             continue;
         }
-        // conditioning gate: score the equation set *with* this recruit
-        // before committing to it
-        let cand_placements: Vec<(usize, usize)> =
-            pairing.iter().enumerate().map(|(q, &(_, s))| (q, s.pos)).collect();
-        let cand_corrs: Vec<Complex> = pairing.iter().map(|&(_, s)| s.corr).collect();
-        let row = proxy_row(&mut signatures, &cand_placements, &cand_corrs);
-        proxy.push(row);
-        if proxy_conditioning(&proxy) < min_conditioning {
-            proxy.pop();
-            continue;
-        }
         buffers.push(cand.buffer.clone());
-        placements.push(cand_placements);
+        placements.push(pairing.iter().enumerate().map(|(q, &(_, s))| (q, s.pos)).collect());
         used.push(i);
     }
     if used.is_empty() {
@@ -461,16 +396,13 @@ pub fn group_from_pool(
 /// module docs for the algorithm.
 ///
 /// Under [`RecoveryConfig::Robust`](crate::config::RecoveryConfig), a
-/// CRC-failed first pass is followed by up to `TURBO_PASSES` turbo
-/// re-estimation passes (the SIC iteration of arXiv:1401.7374): every
-/// [`ChannelView`] is re-derived from its own interference-cancelled
-/// buffer — the first pass's decision images of *other* packets
-/// subtracted expose each packet's preamble nearly clean — and the group
-/// is solved again.
-/// Iteration stops at the cap, when every CRC passes, or when the
-/// decisions stop changing (converged — another pass would repeat it).
-/// Per packet, the first CRC-valid frame across passes wins; a later
-/// pass can only add deliveries, never lose one.
+/// CRC-failed first pass is followed by one turbo re-estimation pass
+/// (the SIC iteration of arXiv:1401.7374): every [`ChannelView`] is
+/// re-derived from its own interference-cancelled buffer — the first
+/// pass's decision images of *other* packets subtracted expose each
+/// packet's preamble nearly clean — and the group is solved again.
+/// Per packet, the first CRC-valid frame across the two passes wins; the
+/// second pass can only add deliveries, never lose one.
 pub fn solve_group(
     group: &RecoveryGroup,
     registry: &ClientRegistry,
@@ -494,22 +426,12 @@ pub fn solve_group(
     if !cfg.recovery.is_robust() || best.iter().all(|p| p.frame.is_some()) {
         return best;
     }
-    let mut prev_decided = solver.decided.clone();
-    for _pass in 0..TURBO_PASSES {
-        let Some(mut next) = solver.turbo_restart() else {
-            break;
-        };
-        let result = next.run(ws);
-        for (b, r) in best.iter_mut().zip(result) {
+    if let Some(mut next) = solver.turbo_restart() {
+        for (b, r) in best.iter_mut().zip(next.run(ws)) {
             if b.frame.is_none() && r.frame.is_some() {
                 *b = r;
             }
         }
-        solver = next;
-        if best.iter().all(|p| p.frame.is_some()) || solver.decided == prev_decided {
-            break;
-        }
-        prev_decided = solver.decided.clone();
     }
     best
 }
@@ -564,12 +486,6 @@ const RIDGE_LAMBDA: f64 = 1e-4;
 /// strongest symbol — under-observed symbols wait for the window to
 /// slide instead of committing garbage.
 const MIN_OBSERVATION: f64 = 0.25;
-
-/// Turbo re-estimation passes the robust preset runs after a CRC-failed
-/// first solve. Iteration also stops early once every packet's CRC
-/// passes or the decisions stop changing between passes, so the cap only
-/// binds on groups still improving.
-const TURBO_PASSES: usize = 2;
 
 /// Proportional gain of the robust preset's per-window PI phase tracker
 /// ([`ChannelView::feedback_windowed`]): a damped loop with
@@ -713,7 +629,7 @@ impl<'a> Solver<'a> {
                 .map(|b| (0..k).map(|_| vec![ZERO; b.len()]).collect())
                 .collect(),
             pll: (0..group.collisions()).map(|_| vec![WindowPll::default(); k]).collect(),
-            debug: std::env::var_os("ZIGZAG_DEBUG").is_some(),
+            debug: crate::debug(),
         }
     }
 
@@ -1194,52 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn proxy_conditioning_is_member_order_invariant_and_ranks_diversity() {
-        // three member rows: two §4.5-degenerate (same shift signature,
-        // scored purely on channel diversity) and one structurally
-        // independent signature — the score must not depend on the order
-        // the members were recruited in
-        type Member = (Vec<(usize, usize)>, Vec<Complex>);
-        let same_sig: Vec<(usize, usize)> = vec![(0, 0), (1, 300)];
-        let other_sig: Vec<(usize, usize)> = vec![(0, 0), (1, 410)];
-        let members: Vec<Member> = vec![
-            (same_sig.clone(), vec![Complex::real(1.0), Complex::new(0.0, 0.8)]),
-            (same_sig.clone(), vec![Complex::real(0.6), Complex::real(0.7)]),
-            (other_sig, vec![Complex::real(0.9), Complex::new(0.0, 0.5)]),
-        ];
-        let score = |order: &[usize]| -> f64 {
-            let mut signatures = Vec::new();
-            let mut proxy = Vec::new();
-            for &m in order {
-                proxy.push(proxy_row(&mut signatures, &members[m].0, &members[m].1));
-            }
-            proxy_conditioning(&proxy)
-        };
-        let reference = score(&[0, 1, 2]);
-        for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            assert!(
-                (score(&order) - reference).abs() < 1e-12,
-                "recruitment order must not change the conditioning score"
-            );
-        }
-        // a collinear same-signature recruit collapses the score; the
-        // diverse set stays well away from the gate's floor
-        let mut signatures = Vec::new();
-        let mut collinear =
-            vec![proxy_row(&mut signatures, &same_sig, &[Complex::real(1.0), Complex::real(0.5)])];
-        collinear.push(proxy_row(
-            &mut signatures,
-            &same_sig,
-            &[Complex::real(0.8), Complex::real(0.4)],
-        ));
-        assert!(proxy_conditioning(&collinear) < 1e-3, "proportional channels are collinear rows");
-        assert!(
-            reference > crate::engine::stage::ROBUST_MIN_CONDITIONING,
-            "diverse members must clear the robust preset's gate"
-        );
-    }
-
-    #[test]
     fn pooled_footprints_persist_across_recruitment_rounds() {
         // the satellite contract: a pooled entry is characterized once —
         // its correlation footprint is built on first recruitment and
@@ -1258,7 +1128,7 @@ mod tests {
         let mut ws = Scratch::new();
         // round 1: an identical current buffer confirms at shift 0 and
         // recruits the entry; the confirmation builds the footprint
-        let round1 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3, 0.0);
+        let round1 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3);
         let (group, used) = round1.expect("an identical buffer must confirm and recruit");
         assert_eq!(group.collisions(), 2);
         assert_eq!(used, vec![0]);
@@ -1269,7 +1139,7 @@ mod tests {
         };
         // round 2 (the solve failed upstream, nothing was consumed): the
         // footprint is already covering, so recruitment reuses it as-is
-        let round2 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3, 0.0);
+        let round2 = group_from_pool(&mut ws, &buffer, &detections, &[1, 2], &pool, 3);
         assert!(round2.is_some(), "the entry must still recruit on later rounds");
         let fp = pool.candidates(&[1, 2]).next().unwrap().footprint.borrow();
         assert!(fp.covers(buffer.len(), 0.25), "the cached footprint must survive round 2");

@@ -230,29 +230,6 @@ pub fn min_coverage_lens(n_packets: usize, collisions: &[CollisionLayout]) -> Ve
     (0..n_packets).map(|q| coverage_spans(q, collisions).min().unwrap_or(0)).collect()
 }
 
-/// The shift signature of a collision layout: every packet's start
-/// relative to the layout's earliest placed packet (`None` when the
-/// packet is absent from this collision).
-///
-/// Two collisions with equal signatures place every packet at the same
-/// relative offsets — combinatorially they are the *same* equation
-/// (§4.5's Δ₁ = Δ₂ degeneracy generalised to k packets), so any
-/// diversity between them must come from the channel coefficients alone.
-/// The algebraic recovery layer keys its conditioning proxy on this:
-/// equations from different signatures are independent by structure,
-/// while same-signature recruits are scored by how far their channel
-/// rows are from collinear ([`zigzag_phy::linalg::gram_conditioning`]).
-pub fn shift_signature(n_packets: usize, layout: &CollisionLayout) -> Vec<Option<isize>> {
-    let origin = layout.placements.iter().map(|p| p.start).min().unwrap_or(0) as isize;
-    let mut sig = vec![None; n_packets];
-    for pl in &layout.placements {
-        if pl.packet < n_packets {
-            sig[pl.packet] = Some(pl.start as isize - origin);
-        }
-    }
-    sig
-}
-
 /// Why position-wise peeling cannot decode a system — the reason behind
 /// a `false` from [`decodable`].
 ///
@@ -610,31 +587,6 @@ mod tests {
         assert_eq!(decodability(&[100, 100], &pair_layouts(100, 100, 30, 10)), {
             Decodability::Decodable
         });
-    }
-
-    #[test]
-    fn shift_signature_is_translation_invariant() {
-        let mk = |s0: usize, s1: usize| CollisionLayout {
-            placements: vec![
-                Placement { packet: 0, start: s0 },
-                Placement { packet: 2, start: s1 },
-            ],
-            len: 500,
-        };
-        // absolute position doesn't matter, relative offsets do
-        assert_eq!(shift_signature(3, &mk(0, 40)), shift_signature(3, &mk(100, 140)));
-        assert_eq!(shift_signature(3, &mk(0, 40)), vec![Some(0), None, Some(40)]);
-        assert_ne!(shift_signature(3, &mk(0, 40)), shift_signature(3, &mk(0, 41)));
-        // order of placements is irrelevant; the earliest start anchors
-        let flipped = CollisionLayout {
-            placements: vec![
-                Placement { packet: 2, start: 10 },
-                Placement { packet: 0, start: 50 },
-            ],
-            len: 500,
-        };
-        assert_eq!(shift_signature(3, &flipped), vec![Some(40), None, Some(0)]);
-        assert_eq!(shift_signature(0, &flipped), Vec::<Option<isize>>::new());
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! collision; on a real AP that buffer has to be carved out of the air.
 //! [`RegionCarver`] folds the scanner's committed spikes into regions:
 //!
-//! * the first spike opens a region [`StreamConfig::lead`] samples
+//! * the first spike opens a region [`LEAD`] samples
 //!   early (quiet context for the decoder's interpolation and for the
 //!   suppression neighborhoods the spikes were decided with);
 //! * every further spike — raw, pre-merge, so even a collapsed
 //!   near-duplicate counts as evidence — extends the close horizon to
-//!   `spike + max_packet`, which is how a collision whose second packet
+//!   `spike + MAX_PACKET`, which is how a collision whose second packet
 //!   starts several windows later stays in one region;
 //! * the region closes once the scanner has committed past the horizon
-//!   with no new spike (or at [`StreamConfig::max_region`], the runaway
+//!   with no new spike (or at [`MAX_REGION`], the runaway
 //!   bound), and is emitted with its finalized merged detections
 //!   attached, rebased to region coordinates — ready for the
 //!   `receive_detected` seam with no re-scan.
@@ -21,11 +21,9 @@
 //! Samples are copied into the open region incrementally at every
 //! advance, so ring retention never depends on region length: the ring
 //! is purely the producer-side backpressure buffer.
-//!
-//! [`StreamConfig::lead`]: crate::config::StreamConfig::lead
-//! [`StreamConfig::max_region`]: crate::config::StreamConfig::max_region
 
 use super::window::ScanSpan;
+use super::{LEAD, MAX_PACKET, MAX_REGION};
 use crate::detect::Detection;
 use zigzag_phy::complex::Complex;
 
@@ -59,9 +57,6 @@ struct OpenRegion {
 /// Assembles [`CarvedRegion`]s from scanner spans (see module docs).
 #[derive(Debug)]
 pub(crate) struct RegionCarver {
-    lead: usize,
-    max_packet: usize,
-    max_region: usize,
     next_seq: usize,
     open: Option<OpenRegion>,
     /// Finalized merged detections not yet attached to a closed region.
@@ -69,15 +64,8 @@ pub(crate) struct RegionCarver {
 }
 
 impl RegionCarver {
-    pub fn new(lead: usize, max_packet: usize, max_region: usize) -> Self {
-        Self {
-            lead,
-            max_packet: max_packet.max(1),
-            max_region: max_region.max(max_packet.max(1) + lead),
-            next_seq: 0,
-            open: None,
-            pending: Vec::new(),
-        }
+    pub fn new() -> Self {
+        Self { next_seq: 0, open: None, pending: Vec::new() }
     }
 
     /// Regions emitted so far.
@@ -87,11 +75,11 @@ impl RegionCarver {
 
     /// Lowest absolute sample index the carver may still read (the open
     /// region's fill point) — the driver keeps the ring at least this
-    /// far back, minus `lead` for a region that might open just behind
+    /// far back, minus [`LEAD`] for a region that might open just behind
     /// the commit point.
     pub fn min_sample_needed(&self, commit: usize) -> usize {
         let open_from = self.open.as_ref().map(|o| o.filled).unwrap_or(usize::MAX);
-        open_from.min(commit.saturating_sub(self.lead))
+        open_from.min(commit.saturating_sub(LEAD))
     }
 
     /// Folds one committed span into the carve state: opens/extends/
@@ -113,12 +101,12 @@ impl RegionCarver {
                 out.push(region);
             }
             match &mut self.open {
-                Some(o) => o.end_cand = (p + self.max_packet).min(o.start + self.max_region),
+                Some(o) => o.end_cand = (p + MAX_PACKET).min(o.start + MAX_REGION),
                 None => {
-                    let start = p.saturating_sub(self.lead);
+                    let start = p.saturating_sub(LEAD);
                     self.open = Some(OpenRegion {
                         start,
-                        end_cand: (p + self.max_packet).min(start + self.max_region),
+                        end_cand: (p + MAX_PACKET).min(start + MAX_REGION),
                         filled: start,
                         samples: Vec::new(),
                     });
@@ -181,5 +169,49 @@ impl RegionCarver {
         let seq = self.next_seq;
         self.next_seq += 1;
         CarvedRegion { seq, start: o.start, samples: o.samples, detections }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zigzag_phy::complex::ZERO;
+
+    fn spikes(raw: Vec<usize>) -> ScanSpan {
+        ScanSpan { merged: Vec::new(), raw }
+    }
+
+    #[test]
+    fn region_opens_lead_early_and_closes_a_packet_horizon_late() {
+        // the geometry is pinned by value: 64 samples of lead before the
+        // first spike, a 4096-sample horizon past the last one
+        let slice = vec![ZERO; 12_000];
+        let mut carver = RegionCarver::new();
+        let mut out = Vec::new();
+        carver.advance(&spikes(vec![1000, 2500]), &slice, 0, 3000, &mut out);
+        assert!(out.is_empty(), "the horizon past the last spike is still open");
+        carver.advance(&spikes(Vec::new()), &slice, 0, 2500 + 4096, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].start, 1000 - 64);
+        assert_eq!(out[0].start + out[0].samples.len(), 2500 + 4096);
+    }
+
+    #[test]
+    fn runaway_spike_chain_closes_at_the_region_cap() {
+        // spikes closer than the packet horizon never let the region
+        // close on their own; the 2^20-sample cap cuts it and the next
+        // spike opens a fresh region
+        let cap = 1 << 20;
+        let slice = vec![ZERO; cap + 20_000];
+        let chain: Vec<usize> =
+            (0..).map(|k| 64 + 4000 * k).take_while(|&p| p < cap + 8000).collect();
+        let reopen = *chain.iter().find(|&&p| p > cap).unwrap();
+        let mut carver = RegionCarver::new();
+        let mut out = Vec::new();
+        carver.advance(&spikes(chain), &slice, 0, cap + 8000, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].start, out[0].samples.len()), (0, cap));
+        carver.finish(&slice, 0, slice.len(), &mut out);
+        assert_eq!(out[1].start, reopen - 64);
     }
 }

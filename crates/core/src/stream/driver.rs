@@ -31,6 +31,7 @@
 use super::carver::{CarvedRegion, RegionCarver};
 use super::ring::SampleRing;
 use super::window::WindowScanner;
+use super::{lookahead, LEAD};
 use crate::config::{ClientRegistry, DecoderConfig, StreamConfig};
 use crate::engine::scratch::Scratch;
 use crate::engine::shard::{OnDrop, ShardedReceiver};
@@ -63,13 +64,13 @@ impl Segmenter {
         let preamble = Preamble::default_len();
         let l = preamble.len();
         let window = scfg.effective_window(l);
-        let overlap = scfg.effective_overlap(l);
+        let overlap = lookahead(l);
         Self {
             // one full advance must always fit: window + overlap of
             // lookahead plus the lead a new region may reach back for
-            ring: SampleRing::new(window + overlap + scfg.lead + 16),
-            scanner: WindowScanner::new(&preamble, registry, cfg),
-            carver: RegionCarver::new(scfg.lead, scfg.max_packet, scfg.max_region),
+            ring: SampleRing::new(window + overlap + LEAD + 16),
+            scanner: WindowScanner::new(&preamble, registry),
+            carver: RegionCarver::new(),
             ws: Scratch::with_backend(cfg.backend),
             window,
             overlap,

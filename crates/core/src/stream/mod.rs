@@ -45,3 +45,30 @@ pub use driver::{
     carve_buffer, RegionOutcome, Segmenter, StreamOutcome, StreamSource, StreamStats,
 };
 pub use ring::SampleRing;
+
+/// Extra lookahead samples the scanner waits for beyond the window being
+/// committed, for preamble length `l`: peak suppression needs `l` of
+/// right context, the correlation sum reads `l` further, and the
+/// half-sample grid interpolates 8 taps ahead — so every committed
+/// position has its full suppression neighbourhood and full-length
+/// correlation sums.
+pub(crate) const fn lookahead(l: usize) -> usize {
+    2 * l + 8
+}
+
+/// Quiet samples carved ahead of a region's first detection, so the
+/// carved buffer gives the decode pipeline the same interpolation and
+/// suppression context the detections were found with.
+pub(crate) const LEAD: usize = 64;
+
+/// Samples a region is extended past its *last* detection before it can
+/// close — an upper bound on one packet's air length (plus tail pad).
+/// Any further detection inside that horizon extends the region, so
+/// collisions spanning many windows stay in one region.
+pub(crate) const MAX_PACKET: usize = 4096;
+
+/// Hard cap on a single region's length: a pathological detection chain
+/// (e.g. a continuously-keyed interferer) closes at this size and
+/// re-opens, bounding carve memory.
+pub(crate) const MAX_REGION: usize = 1 << 20;
+const _: () = assert!(MAX_REGION >= MAX_PACKET + LEAD);

@@ -21,13 +21,13 @@
 //!
 //! A position is *committed* (peak-decided) only when its full `+L`
 //! right neighborhood of correlation values exists, which is why the
-//! driver holds back [`StreamConfig::effective_overlap`] samples of
+//! driver holds back [`lookahead`](super::lookahead) samples of
 //! lookahead; at stream end the `final` flush truncates exactly the way
 //! a pre-cut buffer's edge does.
 //!
 //! [`detect_packets_with`]: crate::detect::detect_packets_with
 
-use crate::config::{ClientRegistry, DecoderConfig};
+use crate::config::ClientRegistry;
 use crate::detect::{client_threshold, Detection};
 use zigzag_phy::complex::Complex;
 use zigzag_phy::kernel::Kernel;
@@ -85,21 +85,20 @@ pub(crate) struct WindowScanner {
 }
 
 impl WindowScanner {
-    /// A scanner for the given association snapshot. Clients are ordered
-    /// by id so the scan order (and any exact-tie outcome) is
-    /// deterministic across runs.
-    pub fn new(preamble: &Preamble, registry: &ClientRegistry, cfg: &DecoderConfig) -> Self {
+    /// A scanner for the given association snapshot. Clients are kept in
+    /// the registry's id order, the order [`detect_packets_with`] scans
+    /// them in, so an exact tie resolves identically on both paths.
+    pub fn new(preamble: &Preamble, registry: &ClientRegistry) -> Self {
         let l = preamble.len();
-        let mut clients: Vec<ClientScan> = registry
+        let clients: Vec<ClientScan> = registry
             .iter()
             .map(|(id, info)| ClientScan {
                 id,
                 omega: info.omega,
-                threshold: client_threshold(cfg, l, info.snr_db),
+                threshold: client_threshold(l, info.snr_db),
                 grids: [GridCarry::default(), GridCarry::default()],
             })
             .collect();
-        clients.sort_by_key(|c| c.id);
         Self {
             symbols: preamble.symbols().to_vec(),
             l,
@@ -124,7 +123,7 @@ impl WindowScanner {
     /// of `slice` when `final_` — deciding peaks, and returns the span's
     /// finalized detections. `slice` holds stream samples
     /// `[base, base + slice.len())`; non-final advances require
-    /// `slice.len() + base ≥ target + effective_overlap` so every
+    /// `slice.len() + base ≥ target + lookahead(l)` so every
     /// committed position has full context.
     pub fn advance(
         &mut self,

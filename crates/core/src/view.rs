@@ -33,9 +33,32 @@ use zigzag_phy::complex::{inner, Complex, ZERO};
 use zigzag_phy::equalize::{design_inverse, estimate_channel_taps, DEFAULT_EQUALIZER_TAPS};
 use zigzag_phy::filter::Fir;
 use zigzag_phy::interp::interp_at;
-use zigzag_phy::kernel::Kernel;
+use zigzag_phy::kernel::{BackendKind, Kernel};
 use zigzag_phy::modulation::Modulation;
 use zigzag_phy::sync::estimate_freq;
+
+/// Gain α of the reconstruction frequency update `δf̂ += α·δφ/δt`
+/// (§4.2.4b).
+const ALPHA_FREQ: f64 = 0.3;
+
+/// Proportional gain of the chunk decoder's decision-directed PLL. The
+/// loop gains are cool on purpose: at the evaluation's SNRs the BPSK
+/// decision noise is ~0.35 rad/symbol, and a hot integral gain turns it
+/// into frequency jitter that wrecks whole blocks. kp alone keeps ramp
+/// lag at ω_resid/kp ≈ 0.006 rad for the association-jitter residual.
+const PLL_KP: f64 = 0.04;
+
+/// Integral gain of the chunk decoder's decision-directed PLL (see
+/// [`PLL_KP`]).
+const PLL_KI: f64 = 2e-4;
+
+/// Mueller–Müller timing loop gain, applied once per [`BLOCK`] to the
+/// block-averaged timing error (see [`ChannelView::decode_chunk_into`]).
+const MM_GAIN: f64 = 0.3;
+
+/// Sub-block size (symbols) between timing re-interpolations in
+/// [`ChannelView::decode_chunk_into`].
+const BLOCK: usize = 128;
 
 /// Decode direction (§4.3b forward/backward decoding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,7 +222,10 @@ pub struct ChannelView {
     pub inv: Fir,
     /// Symbol index of the last reconstruction feedback (for `δφ/δt`).
     last_fb_n: Option<f64>,
-    cfg: DecoderConfig,
+    /// Whether reconstruction feedback tracks phase, timing and gain
+    /// ([`DecoderConfig::tracking`]).
+    tracking: bool,
+    backend: BackendKind,
 }
 
 impl ChannelView {
@@ -325,7 +351,8 @@ impl ChannelView {
             taps,
             inv,
             last_fb_n: None,
-            cfg: cfg.clone(),
+            tracking: cfg.tracking,
+            backend: cfg.backend,
         })
     }
 
@@ -352,7 +379,8 @@ impl ChannelView {
             taps,
             inv,
             last_fb_n: None,
-            cfg: cfg.clone(),
+            tracking: cfg.tracking,
+            backend: cfg.backend,
         }
     }
 
@@ -377,7 +405,7 @@ impl ChannelView {
         dir: Direction,
     ) -> ChunkDecode {
         let mut pool = BufPool::new();
-        let mut kernel = Kernel::new(self.cfg.backend);
+        let mut kernel = Kernel::new(self.backend);
         let mut out = ChunkDecode::default();
         self.decode_chunk_into(buffer, range, layout, dir, &mut pool, &mut kernel, &mut out);
         out
@@ -408,13 +436,12 @@ impl ChannelView {
             return;
         }
         let margin = self.inv.len();
-        let block = self.cfg.block.max(8);
 
         // iterate blocks in processing order
         let mut blocks: Vec<(usize, usize)> = Vec::new();
         let mut s = range.start;
         while s < range.end {
-            let e = (s + block).min(range.end);
+            let e = (s + BLOCK).min(range.end);
             blocks.push((s, e));
             s = e;
         }
@@ -425,7 +452,6 @@ impl ChannelView {
         // fine PLL residual state folded into the model per block
         let mut fine_phase = 0.0f64;
         let mut fine_freq = 0.0f64;
-        let (kp, ki, mm_g) = (self.cfg.pll_kp, self.cfg.pll_ki, self.cfg.mm_gain);
         let mm_sign = if dir == Direction::Forward { 1.0 } else { -1.0 };
         let mut prev_soft = ZERO;
         let mut prev_dec = ZERO;
@@ -471,25 +497,21 @@ impl ChannelView {
                 if dir == Direction::Forward { Box::new(bs..be) } else { Box::new((bs..be).rev()) };
             for n in sym_iter {
                 let y = eq[idx_of(n)] * Complex::cis(-fine_phase) / self.gain;
-                let (dec_point, is_known) = match layout.known_symbol(n) {
-                    Some(k) => (k, true),
-                    None => {
-                        let m = layout.modulation_at(n);
-                        (m.decide(y).1, false)
-                    }
+                let dec_point = match layout.known_symbol(n) {
+                    Some(k) => k,
+                    None => layout.modulation_at(n).decide(y).1,
                 };
                 soft[n - range.start] = y;
                 decided[n - range.start] = dec_point;
                 // decision-directed PLL (data-aided on known symbols)
                 let err =
                     if dec_point.norm_sq() > 0.0 { (y * dec_point.conj()).arg() } else { 0.0 };
-                let _ = is_known;
                 // `fine_freq` is the residual phase velocity per *processing
                 // step* (negated model-frequency error when running
                 // backward); the advance is therefore direction-agnostic,
                 // and only the fold into the model's ω flips sign.
-                fine_freq += ki * err;
-                fine_phase += kp * err + fine_freq;
+                fine_freq += PLL_KI * err;
+                fine_phase += PLL_KP * err + fine_freq;
                 // Mueller–Müller timing (accumulated; applied per block)
                 if primed {
                     let te = (prev_dec.conj() * y - dec_point.conj() * prev_soft).re;
@@ -502,7 +524,7 @@ impl ChannelView {
             }
             // fold fine residual into the model at the block's far edge
             let edge = if dir == Direction::Forward { be as f64 } else { bs as f64 };
-            if std::env::var_os("ZIGZAG_DEBUG_PLL").is_some() {
+            if crate::debug_pll() {
                 eprintln!(
                     "block {bs}..{be}: fold fine_phase={fine_phase:.4} fine_freq={fine_freq:.6} model_omega={:.6} mu={:.4}",
                     self.phase.omega(),
@@ -517,7 +539,7 @@ impl ChannelView {
             fine_phase = 0.0;
             fine_freq = 0.0;
             if mm_n > 0 {
-                let step = (mm_sign * mm_g * mm_acc / mm_n as f64).clamp(-0.1, 0.1);
+                let step = (mm_sign * MM_GAIN * mm_acc / mm_n as f64).clamp(-0.1, 0.1);
                 self.mu += step;
                 mm_acc = 0.0;
                 mm_n = 0;
@@ -537,7 +559,7 @@ impl ChannelView {
         symbols: &dyn Fn(usize) -> Option<Complex>,
     ) -> Image {
         let mut pool = BufPool::new();
-        let mut kernel = Kernel::new(self.cfg.backend);
+        let mut kernel = Kernel::new(self.backend);
         let mut img = Image::default();
         self.synthesize_at_into(range, symbols, self.mu, &mut pool, &mut kernel, &mut img);
         img
@@ -633,7 +655,7 @@ impl ChannelView {
         symbols: &dyn Fn(usize) -> Option<Complex>,
     ) {
         let mut pool = BufPool::new();
-        let mut kernel = Kernel::new(self.cfg.backend);
+        let mut kernel = Kernel::new(self.backend);
         self.feedback_with(observed, image, range, symbols, &mut pool, &mut kernel);
     }
 
@@ -689,7 +711,7 @@ impl ChannelView {
         kernel: &mut Kernel,
         pll: Option<(&mut WindowPll, f64, f64)>,
     ) {
-        if observed.len() != image.samples.len() || observed.is_empty() {
+        if !self.tracking || observed.len() != image.samples.len() || observed.is_empty() {
             return;
         }
         let c = inner(observed, &image.samples);
@@ -700,67 +722,47 @@ impl ChannelView {
         let ratio = c / e_img; // observed ≈ ratio · image
         let mid_n = (range.start + range.end) as f64 / 2.0;
 
-        if self.cfg.track_phase {
-            let dphi = ratio.arg();
-            match pll {
-                Some((state, kp, ki)) => {
-                    state.integ += ki * dphi;
-                    self.phase.rebase(mid_n);
-                    self.phase.correct(kp * dphi + state.integ, 0.0);
-                }
-                None => {
-                    let domega = match self.last_fb_n {
-                        Some(last) if mid_n > last + 1.0 => {
-                            self.cfg.alpha_freq * dphi / (mid_n - last)
-                        }
-                        _ => 0.0,
-                    };
-                    self.phase.rebase(mid_n);
-                    self.phase.correct(dphi, domega);
-                }
+        // phase/frequency (§4.2.4b)
+        let dphi = ratio.arg();
+        match pll {
+            Some((state, kp, ki)) => {
+                state.integ += ki * dphi;
+                self.phase.rebase(mid_n);
+                self.phase.correct(kp * dphi + state.integ, 0.0);
             }
-            self.last_fb_n = Some(mid_n);
-        }
-        if self.cfg.track_gain {
-            let g = ratio.abs().clamp(0.5, 2.0);
-            self.gain *= 1.0 + 0.5 * (g - 1.0); // damped amplitude update
-        }
-        if self.cfg.track_timing {
-            // early/late gate: compare correlation against images shifted
-            // ±0.3 samples
-            let delta = 0.3;
-            let mut early = Image { first: 0, samples: pool.take() };
-            let mut late = Image { first: 0, samples: pool.take() };
-            self.synthesize_at_into(
-                range.clone(),
-                symbols,
-                self.mu - delta,
-                pool,
-                kernel,
-                &mut early,
-            );
-            self.synthesize_at_into(
-                range.clone(),
-                symbols,
-                self.mu + delta,
-                pool,
-                kernel,
-                &mut late,
-            );
-            let ce = corr_clipped(observed, image.first, &early);
-            let cl = corr_clipped(observed, image.first, &late);
-            // quality gate: a contaminated span (other packets still live
-            // over it) decorrelates observed vs image; don't let it jolt µ
-            let e_obs: f64 = observed.iter().map(|s| s.norm_sq()).sum();
-            let rho = c.norm_sq() / (e_obs * e_img).max(1e-12);
-            let denom = ce + cl;
-            if denom > 1e-9 && rho > 0.25 {
-                let e = (cl - ce) / denom;
-                self.mu += 0.3 * delta * e.clamp(-1.0, 1.0);
+            None => {
+                let domega = match self.last_fb_n {
+                    Some(last) if mid_n > last + 1.0 => ALPHA_FREQ * dphi / (mid_n - last),
+                    _ => 0.0,
+                };
+                self.phase.rebase(mid_n);
+                self.phase.correct(dphi, domega);
             }
-            pool.put(early.samples);
-            pool.put(late.samples);
         }
+        self.last_fb_n = Some(mid_n);
+        let g = ratio.abs().clamp(0.5, 2.0);
+        self.gain *= 1.0 + 0.5 * (g - 1.0); // damped amplitude update
+
+        // timing (§4.2.4c), early/late gate: compare correlation against
+        // images shifted ±0.3 samples
+        let delta = 0.3;
+        let mut early = Image { first: 0, samples: pool.take() };
+        let mut late = Image { first: 0, samples: pool.take() };
+        self.synthesize_at_into(range.clone(), symbols, self.mu - delta, pool, kernel, &mut early);
+        self.synthesize_at_into(range.clone(), symbols, self.mu + delta, pool, kernel, &mut late);
+        let ce = corr_clipped(observed, image.first, &early);
+        let cl = corr_clipped(observed, image.first, &late);
+        // quality gate: a contaminated span (other packets still live
+        // over it) decorrelates observed vs image; don't let it jolt µ
+        let e_obs: f64 = observed.iter().map(|s| s.norm_sq()).sum();
+        let rho = c.norm_sq() / (e_obs * e_img).max(1e-12);
+        let denom = ce + cl;
+        if denom > 1e-9 && rho > 0.25 {
+            let e = (cl - ce) / denom;
+            self.mu += 0.3 * delta * e.clamp(-1.0, 1.0);
+        }
+        pool.put(early.samples);
+        pool.put(late.samples);
     }
 
     /// Effective SNR of this view against unit noise, in dB.
@@ -769,8 +771,8 @@ impl ChannelView {
     }
 
     /// The kernel backend this view's configuration selects.
-    pub fn backend(&self) -> zigzag_phy::kernel::BackendKind {
-        self.cfg.backend
+    pub fn backend(&self) -> BackendKind {
+        self.backend
     }
 
     /// Re-anchors the phase model at the packet start: keeps everything

@@ -287,7 +287,7 @@ impl<'r> ZigzagDecoder<'r> {
                 pkts[q].soft_fwd[n] = Some(out.soft[i]);
             }
         }
-        if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+        if crate::debug() {
             let evm: f64 =
                 out.soft.iter().zip(out.decided.iter()).map(|(s, d)| (*s - *d).abs()).sum::<f64>()
                     / out.soft.len().max(1) as f64;
@@ -343,7 +343,7 @@ impl<'r> ZigzagDecoder<'r> {
                 residuals[ci][p] -= new_val - img_acc[ci][q][p];
                 img_acc[ci][q][p] = new_val;
             }
-            if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+            if crate::debug() {
                 let before = zigzag_phy::complex::mean_power(&observed);
                 let after = zigzag_phy::complex::mean_power(&residuals[ci][span.clone()]);
                 eprintln!(
@@ -466,7 +466,7 @@ impl<'r> ZigzagDecoder<'r> {
                     continue;
                 };
                 immersed[c][q] = false;
-                if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+                if crate::debug() {
                     let old = views[c][q].as_ref().unwrap();
                     eprintln!(
                         "    reest q{q} c{c}: gain {:.2}->{:.2} mu {:.3}->{:.3} phase0 {:.3}->{:.3}",
@@ -585,7 +585,7 @@ impl<'r> ZigzagDecoder<'r> {
             }
         }
 
-        if std::env::var_os("ZIGZAG_DEBUG").is_some() {
+        if crate::debug() {
             for (i, (s, w)) in streams.iter().enumerate() {
                 let quarter = (s.len() / 12).max(1);
                 let evms: Vec<f64> = s

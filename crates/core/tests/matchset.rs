@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use zigzag_channel::fading::LinkProfile;
 use zigzag_channel::scenario::{synth_collision, PlacedTx};
-use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig, MatchSearch};
+use zigzag_core::config::{ClientInfo, ClientRegistry, DecoderConfig};
 use zigzag_core::detect::{detect_packets, Detection};
 use zigzag_core::engine::scratch::Scratch;
 use zigzag_core::matchset::{
-    client_key, find_match_set, find_match_set_with, pair_collisions, CollisionStore,
+    client_key, find_match_set, find_match_set_with, pair_collisions, CollisionStore, MatchSearch,
 };
 use zigzag_phy::complex::Complex;
 use zigzag_phy::frame::{encode_frame, Frame};

@@ -110,70 +110,6 @@ pub fn lstsq_cond(
     solve_tracking(&mut ata, &mut atb)
 }
 
-/// Normalised Gram determinant of a set of equation rows:
-/// `|det(G)| / ∏ G[i][i]` where `G[i][j] = ⟨rowᵢ, rowⱼ⟩` — `1.0` for
-/// mutually orthogonal rows, `0.0` for a linearly dependent set
-/// (Hadamard's inequality bounds it to `[0, 1]` for the Gram matrix of
-/// any row set). Recovery's salvage-pool recruitment scores candidate
-/// equation sets with this before committing to a solve: a recruit whose
-/// channel-proxy row is near-collinear with the rows already admitted
-/// contributes no diversity and drags the joint normal matrix toward
-/// singularity.
-///
-/// An empty set and a single row trivially score `1.0` (nothing to be
-/// collinear with); an all-zero row among others scores `0.0` (it can
-/// never add an equation).
-pub fn gram_conditioning(rows: &[Vec<Complex>]) -> f64 {
-    let m = rows.len();
-    if m <= 1 {
-        return 1.0;
-    }
-    let mut g = vec![vec![ZERO; m]; m];
-    for i in 0..m {
-        for j in 0..m {
-            let mut acc = ZERO;
-            for (a, b) in rows[i].iter().zip(rows[j].iter()) {
-                acc += a.conj() * *b;
-            }
-            g[i][j] = acc;
-        }
-    }
-    let mut denom = 1.0f64;
-    for (i, row) in g.iter().enumerate() {
-        let d = row[i].re;
-        if d <= 0.0 {
-            return 0.0;
-        }
-        denom *= d;
-    }
-    // |det(G)| = ∏ |pivots| under partial pivoting (row swaps only flip
-    // the sign)
-    let mut det = 1.0f64;
-    for col in 0..m {
-        let pivot_row = (col..m)
-            .max_by(|&x, &y| g[x][col].norm_sq().total_cmp(&g[y][col].norm_sq()))
-            .expect("non-empty pivot range");
-        if g[pivot_row][col].norm_sq() < 1e-24 * denom.powf(1.0 / m as f64).max(1e-300) {
-            return 0.0;
-        }
-        g.swap(col, pivot_row);
-        det *= g[col][col].abs();
-        let inv_pivot = g[col][col].inv();
-        let (pivot_rows, rest) = g.split_at_mut(col + 1);
-        let pivot = &pivot_rows[col];
-        for row in rest.iter_mut() {
-            let factor = row[col] * inv_pivot;
-            if factor == ZERO {
-                continue;
-            }
-            for (dst, &src) in row[col..m].iter_mut().zip(pivot[col..m].iter()) {
-                *dst -= factor * src;
-            }
-        }
-    }
-    (det / denom).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,28 +198,6 @@ mod tests {
         let bad_b = vec![c(1.0, 0.0), c(1.0, 0.0)];
         let (_, bad_cond) = lstsq_cond(&bad_rows, &bad_b, 1e-9).unwrap();
         assert!(bad_cond < cond, "collinear rows: {bad_cond} vs {cond}");
-    }
-
-    #[test]
-    fn gram_conditioning_spans_orthogonal_to_collinear() {
-        // orthogonal rows: perfectly conditioned
-        let ortho = vec![vec![c(2.0, 0.0), ZERO], vec![ZERO, c(0.5, 0.0)]];
-        assert!((gram_conditioning(&ortho) - 1.0).abs() < 1e-12);
-        // scaled duplicates: no diversity at all
-        let dup = vec![vec![c(1.0, 0.5), c(2.0, 0.0)], vec![c(2.0, 1.0), c(4.0, 0.0)]];
-        assert!(gram_conditioning(&dup) < 1e-9);
-        // a global phase rotation is still a duplicate equation
-        let rot: Vec<Vec<Complex>> =
-            vec![dup[0].clone(), dup[0].iter().map(|&v| v * Complex::cis(1.1)).collect()];
-        assert!(gram_conditioning(&rot) < 1e-9);
-        // partial overlap lands strictly between
-        let mid = vec![vec![c(1.0, 0.0), ZERO], vec![c(1.0, 0.0), c(1.0, 0.0)]];
-        let g = gram_conditioning(&mid);
-        assert!(g > 0.1 && g < 0.9, "partial overlap: {g}");
-        // trivial sets
-        assert!((gram_conditioning(&[]) - 1.0).abs() < 1e-12);
-        assert!((gram_conditioning(&[vec![c(3.0, 0.0)]]) - 1.0).abs() < 1e-12);
-        assert_eq!(gram_conditioning(&[vec![c(1.0, 0.0)], vec![ZERO]]), 0.0);
     }
 
     #[test]

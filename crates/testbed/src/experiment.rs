@@ -884,8 +884,9 @@ pub struct StreamAir {
     /// The air: collision bursts spliced into unit-variance channel
     /// noise.
     pub samples: Vec<Complex>,
-    /// Collision bursts spliced in — with gaps longer than the stream
-    /// config's `max_packet`, the carver cuts exactly this many regions.
+    /// Collision bursts spliced in — with gaps longer than the carver's
+    /// packet horizon (4096 samples), the carver cuts exactly this many
+    /// regions.
     pub bursts: usize,
 }
 
@@ -894,8 +895,8 @@ pub struct StreamAir {
 /// frames at fresh MAC jitter (the §4.3 story: enough collisions for a
 /// k×k match set), separated by `gap` samples of unit-variance noise.
 ///
-/// The gap must exceed the stream config's `max_packet` for bursts to
-/// carve into separate regions. Deterministic in `scenario.seed`.
+/// The gap must exceed the carver's packet horizon (4096 samples) for
+/// bursts to carve into separate regions. Deterministic in `scenario.seed`.
 pub fn continuous_air(
     scenario: &SetScenario,
     cfg: &ExperimentConfig,
@@ -1247,7 +1248,7 @@ mod tests {
             &air.registry,
             &zigzag_core::config::StreamConfig::default(),
         );
-        assert_eq!(regions.len(), air.bursts, "gap > max_packet ⇒ one region per burst");
+        assert_eq!(regions.len(), air.bursts, "gap > packet horizon ⇒ one region per burst");
         assert!(regions.iter().all(|r| !r.detections.is_empty()));
     }
 

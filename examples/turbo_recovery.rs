@@ -12,12 +12,13 @@
 //!
 //! * a per-window PI phase-locked loop that keeps every `ChannelView`'s
 //!   phase estimate tracking the walk as the sliding window advances;
-//! * a conditioning gate on salvage-pool recruitment, so near-collinear
-//!   equation sets are skipped instead of solved against;
-//! * turbo re-estimation — after a CRC-failed pass, each packet's
-//!   channel is re-derived from the interference-cancelled buffer (the
-//!   other packets' decision images subtracted) and the group is solved
-//!   again, until convergence or the iteration cap.
+//! * a per-window ridge that grows with the window's observation-energy
+//!   spread, so weakly observed columns cannot drag the joint solve
+//!   toward singular;
+//! * one turbo re-estimation pass — after a CRC-failed pass, each
+//!   packet's channel is re-derived from the interference-cancelled
+//!   buffer (the other packets' decision images subtracted) and the
+//!   group is solved again.
 //!
 //! Run with `cargo run --release --example turbo_recovery`.
 

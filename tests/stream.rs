@@ -28,7 +28,8 @@ fn air_frame(src: u16, seq: u16, len: usize, seed: u64) -> zigzag::phy::frame::A
 
 /// One continuous stretch of air: hidden-pair collision buffers spliced
 /// into unit-variance channel noise, plus the AP registry that hears it.
-/// Gaps exceed `max_packet` so each collision carves into its own region.
+/// Gaps exceed the carver's packet horizon (4096 samples) so each
+/// collision carves into its own region.
 struct Air {
     registry: ClientRegistry,
     samples: Vec<Complex>,
@@ -236,7 +237,7 @@ fn depth_one_backpressure_never_drops_a_sample() {
     let cfg = DecoderConfig::shared_ap();
     // ring_depth 1 is floored to one advance; window 1024 keeps the
     // floored ring (~1.2k samples) far smaller than the ~37k-sample air
-    let scfg = StreamConfig { window: 1024, ring_depth: 1, ..StreamConfig::default() };
+    let scfg = StreamConfig { window: 1024, ring_depth: 1 };
     let l = Preamble::default_len().len();
     let regions = carve_buffer(&air.samples, &cfg, &air.registry, &scfg);
     let buffers: Vec<Vec<Complex>> = regions.iter().map(|r| r.samples.clone()).collect();
